@@ -22,7 +22,7 @@ import numpy as np
 
 from .closedform import (FrontierPoint, SolveStatus, classify_efficiency, frontier,
                          markowitz_critical, merton_scalars, point_is_efficient,
-                         solvability_status, solve_critical)
+                         solvability_status, solve_critical, target_grid)
 from .constrained import ConstrainedProblem, minimize_constrained
 from .errors import (CovarselError, NoConvergence, NumericalBreakdown,
                      PreconditionViolated, ScenarioError)
@@ -117,6 +117,20 @@ def _field_matrix(raw, key, n):
                 raise ScenarioError(f"{key}[{i}][{j}]: expected a number, got {e!r}")
         rows.append([float(e) for e in row])
     return rows
+
+
+def _target(value, flag, scenario: Scenario, key):
+    """The command-line value, else the scenario's ``targets.<key>``, as a
+    finite float; None when neither is set."""
+    name = flag
+    if value is None:
+        value, name = scenario.targets.get(key), f"targets.{key}"
+        if value is None:
+            return None
+    if not isinstance(value, (int, float)) or isinstance(value, bool) or \
+            not math.isfinite(value):
+        raise ScenarioError(f"{name}: expected a finite number, got {value!r}")
+    return float(value)
 
 
 def load_scenario(path: str) -> Scenario:
@@ -251,7 +265,7 @@ def cmd_frontier(scenario: Scenario, e_min, e_max, steps, mode, fmt, out) -> int
         _, beta_m, gamma_m = merton_scalars(m)
         gmv = beta_m / gamma_m
         points = []
-        for e in np.linspace(e_min, e_max, steps):
+        for e in target_grid(e_min, e_max, steps):
             w = markowitz_critical(m, float(e))
             sigma, var_a = sigma_and_var(m, w)
             points.append(FrontierPoint(E=float(e),
@@ -351,28 +365,24 @@ def main(argv=None) -> int:
         if args.command == "describe":
             return cmd_describe(scenario, args.format, out)
         if args.command == "solve":
-            target = args.E if args.E is not None else scenario.targets.get("E")
+            target = _target(args.E, "--E", scenario, "E")
             if target is None:
                 raise ScenarioError("solve needs --E or targets.E in the scenario")
-            return cmd_solve(scenario, float(target), args.format, out)
+            return cmd_solve(scenario, target, args.format, out)
         if args.command == "frontier":
-            e_min = args.E_min if args.E_min is not None else scenario.targets.get("E_min")
-            e_max = args.E_max if args.E_max is not None else scenario.targets.get("E_max")
+            e_min = _target(args.E_min, "--E-min", scenario, "E_min")
+            e_max = _target(args.E_max, "--E-max", scenario, "E_max")
             steps = args.steps if args.steps is not None else scenario.targets.get("steps")
             if e_min is None or e_max is None or steps is None:
                 raise ScenarioError(
                     "frontier needs --E-min/--E-max/--steps or targets in the scenario")
-            return cmd_frontier(scenario, float(e_min), float(e_max), int(steps),
+            return cmd_frontier(scenario, e_min, e_max, int(steps),
                                 args.mode, args.format, out)
         if args.command == "constrained":
             if not (scenario.non_negative or args.non_negative):
                 raise ScenarioError(
                     "constrained solve requires constraints.non_negative or --non-negative")
-            if args.no_target:
-                target = None
-            else:
-                target = args.E if args.E is not None else scenario.targets.get("E")
-                target = float(target) if target is not None else None
+            target = None if args.no_target else _target(args.E, "--E", scenario, "E")
             return cmd_constrained(scenario, target, args.format, out)
         if args.command == "validate":
             if args.weights is not None:

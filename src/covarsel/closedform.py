@@ -294,6 +294,15 @@ def point_is_efficient(eff: EfficiencyClass, e_hat: float) -> bool:
     return e_hat >= -1e-12
 
 
+def target_grid(e_min: float, e_max: float, steps: int) -> np.ndarray:
+    """Uniform return grid from e_min up to e_max, in return order."""
+    if not e_min <= e_max:
+        raise DomainError(f"frontier needs E_min <= E_max, got {e_min!r} and {e_max!r}")
+    if steps < 1 or (steps == 1 and e_min != e_max):
+        raise DomainError("frontier needs steps >= 2, or steps == 1 with E_min == E_max")
+    return np.linspace(e_min, e_max, steps)
+
+
 def frontier(m: ValidatedModel, r: ReducedModel, e_min: float, e_max: float,
              steps: int) -> list[FrontierPoint]:
     """Sample the optimal value across a uniform target-return grid.
@@ -303,9 +312,7 @@ def frontier(m: ValidatedModel, r: ReducedModel, e_min: float, e_max: float,
     minimum-variance efficiency rule.  Output is ordered by E and independent
     of evaluation order.
     """
-    if steps < 1 or (steps == 1 and e_min != e_max):
-        raise DomainError("frontier needs steps >= 2, or steps == 1 with E_min == E_max")
-    grid = np.linspace(e_min, e_max, steps)
+    grid = target_grid(e_min, e_max, steps)
 
     if not r.independent:
         _, beta_m, gamma_m = merton_scalars(m)

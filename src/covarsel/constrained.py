@@ -1,26 +1,30 @@
 """Minimization under the no-short-selling constraint.
 
 Feasible sets are the standard simplex or its intersection with a target
-return hyperplane.  The objective ``c'x + b sqrt(x'Qx)`` (with
-``c = a q - mu``) is convex but not smooth where the quadratic form vanishes,
-and that point can be the optimum, so the solver proceeds in two phases:
+return hyperplane.  The objective ``f(x) = c'x + b sqrt(x'Qx)`` (with
+``c = a q - mu``) is convex.  ``Q`` is positive semidefinite with null space
+spanned by ``e1``, the all-in conditioning-asset portfolio (internal position
+0), so on the budget hyperplane ``f`` is smooth everywhere except at ``e1``.
 
-1. smoothing continuation: minimize ``c'x + b sqrt(x'Qx + eps^2)`` by
-   projected gradient descent with exact Euclidean projection onto the
-   feasible polytope, halving eps from 1e-2 down to 1e-12;
-2. active-face polish: on the face identified by the smoothed iterate, the
-   equality-constrained restriction collapses to the same scalar problem as
-   the closed-form solver, so the face optimum is computed exactly and the
-   active set is revised primal-dually until it certifies.
+Since ``Q e1 = 0``, ``f`` is affine along every segment from ``e1``.  When
+``e1`` is feasible (the simplex, or the slice at the conditioning asset's own
+return), every other feasible point lies on such a segment to a point of the
+facet ``x1 = 0``.  The minimum is then ``f(e1)`` or the facet minimum, and a
+tie makes the whole segment optimal.
 
-The polished point is accepted only if it does not increase the true
-objective, so the smoothed phase bounds the error of the final answer.
+On the facet, and on every slice that excludes ``e1``, ``f`` is smooth and
+strictly convex, and a primal active-set method finds the exact minimizer
+(Nocedal & Wright, *Numerical Optimization*, ch. 16).  Each round minimizes
+``f`` in closed form on the affine hull of the current face.  If the way there
+leaves the orthant, it steps to the first blocking bound and fixes that bound;
+at a face minimizer it releases the bound with the most negative multiplier,
+or stops when none is negative.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,16 +33,13 @@ from .linalg import PivotFailure, cholesky_spd, solve_cholesky
 from .model import ValidatedModel
 from .reduction import ReducedModel
 from .closedform import FrontierPoint
-from .riskmeasures import QUAD_FLOOR
+from .riskmeasures import QUAD_FLOOR, _raw_value
 
-EPS_START = 1e-2
-EPS_FINAL = 1e-12
-STAGE_BUDGET = 10_000
 ACTIVE_TOL = 1e-7
-HARD_ZERO = 1e-13
-PRIMAL_TOL = 1e-11
 DUAL_TOL = 1e-8
-FACE_ROUNDS = 60
+RANK_RTOL = 1e-12
+TARGET_SLACK = 1e-12
+ROUNDS_PER_ASSET = 10
 
 
 @dataclass(frozen=True)
@@ -62,7 +63,7 @@ class ConstrainedProblem:
     def __post_init__(self):
         if self.E is not None:
             mu = self.model.mu
-            if not (float(mu.min()) - 1e-12 <= self.E <= float(mu.max()) + 1e-12):
+            if not (float(mu.min()) - TARGET_SLACK <= self.E <= float(mu.max()) + TARGET_SLACK):
                 raise InfeasibleSlice(
                     f"target return {self.E!r} outside [{mu.min()!r}, {mu.max()!r}]")
 
@@ -73,8 +74,11 @@ class ConstrainedProblem:
 
 @dataclass(frozen=True)
 class ConstrainedSolution:
-    """``x`` is the polished point in the caller's asset order; the KKT fields
-    are evaluated at the terminal smoothed iterate ``x_smoothed``."""
+    """``x`` is the minimizer in the caller's asset order.  ``iterations``
+    counts active-set rounds.  The KKT fields are evaluated at ``x``; at
+    ``e1`` they are ``(0, facet minimum - f(e1))``, which is non-negative
+    exactly when ``e1`` is optimal.  ``multiple`` marks a tie between ``e1``
+    and the facet minimum, which makes the segment between them optimal."""
 
     x: np.ndarray
     value: float
@@ -83,7 +87,6 @@ class ConstrainedSolution:
     kkt_residual: float
     kkt_min_dual: float
     active_set: tuple[int, ...]
-    x_smoothed: np.ndarray = field(repr=False)
 
 
 def project_simplex(v: np.ndarray) -> np.ndarray:
@@ -99,484 +102,230 @@ def project_simplex(v: np.ndarray) -> np.ndarray:
     return np.maximum(v - theta, 0.0)
 
 
-def _slice_seed(mu: np.ndarray, target: float) -> np.ndarray:
-    """A feasible point of the slice polytope: mix of extreme-return vertices."""
-    lo = int(np.argmin(mu))
-    hi = int(np.argmax(mu))
+def _rows(mu: np.ndarray, target: float | None):
+    """Equality rows and right-hand side of the feasible set."""
+    ones = np.ones(mu.shape[0])
+    if target is None:
+        return ones[None, :], np.array([1.0])
+    return np.vstack([ones, mu]), np.array([1.0, float(target)])
+
+
+def _slice_seed(mu: np.ndarray, target: float):
+    """A point of the slice polytope and its free set, or None when the slice
+    is empty.  The point mixes the lowest- and highest-return assets, which
+    are both free, so the free rows have full rank unless every asset
+    returns the target."""
+    n = mu.shape[0]
+    lo, hi = int(np.argmin(mu)), int(np.argmax(mu))
+    if not mu[lo] - TARGET_SLACK <= target <= mu[hi] + TARGET_SLACK:
+        return None
     if mu[hi] == mu[lo]:
-        raise InfeasibleSlice("all expected returns equal on the slice")
-    t = (target - mu[lo]) / (mu[hi] - mu[lo])
-    t = min(1.0, max(0.0, t))
-    x = np.zeros(mu.shape[0])
-    x[lo] = 1.0 - t
-    x[hi] = t
-    return x
+        return np.full(n, 1.0 / n), np.ones(n, dtype=bool)
+    t = min(1.0, max(0.0, (target - mu[lo]) / (mu[hi] - mu[lo])))
+    x = np.zeros(n)
+    x[lo], x[hi] = 1.0 - t, t
+    free = np.zeros(n, dtype=bool)
+    free[[lo, hi]] = True
+    return x, free
 
 
-def _project_polytope(v: np.ndarray, rows: np.ndarray, rhs: np.ndarray,
-                      x_start: np.ndarray) -> np.ndarray:
-    """Projection onto {x >= 0, rows @ x = rhs} by a primal active-set method.
+def _rank(svals: np.ndarray) -> int:
+    return int(np.sum(svals > RANK_RTOL * svals[0]))
 
-    ``x_start`` must be feasible.  Each round solves the equality-constrained
-    projection on the current free set, steps to the first blocking bound when
-    the solution leaves the orthant, and releases the most negative bound
-    multiplier otherwise.
+
+def _gradient(c, big_q, b_risk, x):
+    qx = big_q @ x
+    return c + b_risk * qx / math.sqrt(float(x @ qx))
+
+
+def _face_step(cf, qf, b_risk, null, y0):
+    """Move from ``y0`` towards the minimum of ``cf'y + b sqrt(y'Qf y)`` on
+    the affine hull ``y0 + span(null)`` of one face.
+
+    Returns ``(step, 1.0)`` when that minimum exists, ``y0 + step`` being the
+    minimizer, and ``(ray, inf)`` when the objective decreases without end, or
+    towards an infimum it never attains, along ``y0 + t * ray``.  ``Qf`` must
+    be positive definite on ``span(null)`` and ``y'Qf y`` positive on the hull.
     """
-    n = v.shape[0]
-    x = x_start.copy()
-    active = x <= 0.0
-    for _ in range(8 * n + 16):
-        free = ~active
-        sub = rows[:, free]
-        gram = sub @ sub.T
-        target = rhs - sub @ v[free]
-        lam, *_ = np.linalg.lstsq(gram, target, rcond=None)
-        y = v[free] + sub.T @ lam
-        if y.min() >= -PRIMAL_TOL:
-            cand = np.zeros(n)
-            cand[free] = np.maximum(y, 0.0)
-            mult = (cand - v) - rows.T @ lam
-            if not active.any() or mult[active].min() >= -1e-10 * max(1.0, np.abs(v).max()):
-                return cand
-            worst = np.flatnonzero(active)[int(np.argmin(mult[active]))]
-            active[worst] = False
-            x = cand
-            continue
-        xf = x[free]
-        step = 1.0
-        blocker = -1
-        for i in range(y.shape[0]):
-            if y[i] < xf[i] and y[i] < 0.0:
-                frac = xf[i] / (xf[i] - y[i])
-                if frac < step:
-                    step = frac
-                    blocker = i
-        xf = xf + step * (y - xf)
-        x = np.zeros(n)
-        x[free] = np.maximum(xf, 0.0)
-        if blocker >= 0:
-            active[np.flatnonzero(free)[blocker]] = True
-        else:
-            break
-    check = rows @ x - rhs
-    if np.abs(check).max() > 1e-8 or x.min() < -1e-9:
-        raise NoConvergence("polytope projection failed to converge")
-    return x
-
-
-class _Feasible:
-    """Projection and seed for one feasible polytope, internal coordinates."""
-
-    def __init__(self, m: ValidatedModel, target: float | None):
-        self.n = m.n
-        self.target = target
-        if target is None:
-            self.rows = np.ones((1, m.n))
-            self.rhs = np.array([1.0])
-        else:
-            self.rows = np.vstack([np.ones(m.n), m.mu])
-            self.rhs = np.array([1.0, float(target)])
-            self._seed = _slice_seed(m.mu, float(target))
-
-    def seed(self) -> np.ndarray:
-        if self.target is None:
-            return np.full(self.n, 1.0 / self.n)
-        return self._seed.copy()
-
-    def project(self, v: np.ndarray) -> np.ndarray:
-        if self.target is None:
-            return project_simplex(v)
-        return _project_polytope(v, self.rows, self.rhs, self._seed)
-
-
-def _pgd_stage(x, grad_fn, val_fn, proj, eps):
-    """Projected gradient descent with Armijo backtracking, one eps stage.
-
-    The stage only needs to localize the optimal face; exactness comes from
-    the polish afterwards.  A stage ends when the projected step stalls, when
-    descent is no longer expressible in double precision, or at the budget.
-    """
-    step = 1.0
-    g = grad_fn(x)
-    fx = val_fn(x)
-    for it in range(STAGE_BUDGET):
-        d = proj(x - step * g) - x
-        dn = float(np.abs(d).max())
-        if dn <= max(1e-13, 1e-6 * eps):
-            return x, it
-        slope = float(g @ d)
-        if not slope < -1e-18:
-            step *= 0.25
-            if step < 1e-15:
-                return x, it
-            continue
-        t = 1.0
-        accepted = False
-        for _ in range(40):
-            x_new = x + t * d
-            f_new = val_fn(x_new)
-            if f_new <= fx + 0.25 * t * slope:
-                accepted = True
-                break
-            t *= 0.5
-        if not accepted:
-            step *= 0.25
-            if step < 1e-15:
-                return x, it
-            continue
-        x_prev, g_prev = x, g
-        x, fx = x_new, f_new
-        g = grad_fn(x)
-        dx = x - x_prev
-        dg = g - g_prev
-        denom = float(dx @ dg)
-        if denom > 1e-30:
-            step = min(max(float(dx @ dx) / denom, 1e-14), 1e8)
-        else:
-            step = min(step * 2.0, 1e8)
-    return x, STAGE_BUDGET
-
-
-def _face_solve(c, big_q, rows, rhs_vals, b_risk, free):
-    """Exact minimum of ``c'y + b*sqrt(y'Qy)`` on one face's affine hull.
-
-    Returns a dict with keys: kind ('point', 'unbounded', 'flat'), y (free
-    coordinates), value, and for the unbounded/flat kinds a descent direction
-    in free coordinates.  The quadratic block restricted through the nullspace
-    of the equality rows is positive definite because the budget row excludes
-    the degenerate direction.
-    """
-    cf = c[free]
-    sub = rows[:, free]
-    d = rhs_vals
-    y0, *_ = np.linalg.lstsq(sub, d, rcond=None)
-    if np.abs(sub @ y0 - d).max() > 1e-9 * max(1.0, np.abs(d).max()):
-        return {"kind": "infeasible"}
-    _, svals, vt = np.linalg.svd(sub)
-    rank = int(np.sum(svals > 1e-12 * max(1.0, svals.max(initial=0.0))))
-    null = vt[rank:].T
     if null.shape[1] == 0:
-        quad = float(y0 @ big_q[np.ix_(np.flatnonzero(free), np.flatnonzero(free))] @ y0)
-        root = 0.0 if quad < QUAD_FLOOR else math.sqrt(quad)
-        return {"kind": "point", "y": y0, "value": float(cf @ y0 + b_risk * root)}
-
-    idx = np.flatnonzero(free)
-    m_face = big_q[np.ix_(idx, idx)]
-    m_red = null.T @ m_face @ null
-    m_red = 0.5 * (m_red + m_red.T)
+        return np.zeros_like(y0), 1.0
+    m_red = null.T @ qf @ null
     try:
-        low = cholesky_spd(m_red, 1e-13)
+        low = cholesky_spd(0.5 * (m_red + m_red.T), 1e-13)
     except PivotFailure as exc:
         raise NumericalBreakdown(f"face system lost definiteness: {exc}") from exc
-    m_cross = null.T @ (m_face @ y0)
+    qy = qf @ y0
+    cross = null.T @ qy
+    w_center = -solve_cholesky(low, cross)
+    v_min = max(float(y0 @ qy + cross @ w_center), 0.0)
     c_red = null.T @ cf
-
-    w_center = -solve_cholesky(low, m_cross)
-    v_min = float(y0 @ m_face @ y0 + m_cross @ w_center)
-    v_min = max(v_min, 0.0)
-    base_lin = float(cf @ y0 + c_red @ w_center)
-
-    c_norm = float(np.abs(c_red).max(initial=0.0))
-    if c_norm <= 1e-14 * max(1.0, np.abs(cf).max(initial=0.0)):
-        return {"kind": "point", "y": y0 + null @ w_center,
-                "value": base_lin + b_risk * math.sqrt(v_min)}
-
     h = solve_cholesky(low, c_red)
-    kappa = float(c_red @ h)
-    gap = b_risk * b_risk - kappa
-    v_tol = 1e-13 * max(1.0, float(np.abs(m_face).max()))
-    if v_min <= v_tol:
-        # The quadratic vanishes at the face center, so the objective behaves
-        # like base_lin + tau + (b/sqrt(kappa))|tau| along the critical line.
-        if gap > 1e-10 * b_risk * b_risk:
-            return {"kind": "point", "y": y0 + null @ w_center, "value": base_lin}
-        if gap < -1e-10 * b_risk * b_risk:
-            return {"kind": "unbounded", "direction": -(null @ h),
-                    "y": y0 + null @ w_center}
-        return {"kind": "flat", "direction": -(null @ h),
-                "y": y0 + null @ w_center, "value": base_lin}
+    gap = b_risk * b_risk - float(c_red @ h)
     if gap <= 0.0:
-        return {"kind": "unbounded", "direction": -(null @ h), "y": y0 + null @ w_center}
-    tau = -kappa * math.sqrt(v_min / gap)
-    u = (tau / kappa) * h
-    return {"kind": "point", "y": y0 + null @ (w_center + u),
-            "value": base_lin + math.sqrt(v_min * gap)}
+        return -(null @ h), math.inf
+    return null @ (w_center - math.sqrt(v_min / gap) * h), 1.0
 
 
-def _exact_value(c, big_q, b_risk, x):
-    quad = float(x @ big_q @ x)
-    root = 0.0 if quad < QUAD_FLOOR else math.sqrt(quad)
-    return float(c @ x + b_risk * root)
+def _bound_duals(g, rows, free):
+    """Stationarity residual on the free coordinates, the smallest multiplier
+    of the other bounds, and the bounds to release when it is negative.
 
-
-def _smoothed_grad(c, big_q, b_risk, eps, x):
-    quad = float(x @ big_q @ x)
-    return c + b_risk * (big_q @ x) / math.sqrt(quad + eps * eps)
-
-
-def _newton_on_face(c, big_q, b_risk, eps, rows, rhs, y, free):
-    """Damped Newton for the eps-smoothed stationarity inside one face."""
-    sub = rows[:, free]
-    gram = sub @ sub.T
-    y = y.copy()
-    for _ in range(3):
-        corr, *_ = np.linalg.lstsq(gram, rhs - sub @ y[free], rcond=None)
-        y[free] += sub.T @ corr
-        low = float(y[free].min())
-        if low >= 0.0:
-            break
-        if low < -1e-9:
-            return None
-        y[free] = np.maximum(y[free], 0.0)
-    _, svals, vt = np.linalg.svd(sub)
-    rank = int(np.sum(svals > 1e-12 * max(1.0, svals.max(initial=0.0))))
-    null = vt[rank:].T
-    if null.shape[1] == 0:
-        return y
-    idx = np.flatnonzero(free)
-    qf = big_q[np.ix_(idx, idx)]
-    cf = c[idx]
-    for _ in range(40):
-        yf = y[free]
-        qy = qf @ yf
-        s = math.sqrt(max(float(yf @ qy), 0.0) + eps * eps)
-        g = cf + b_risk * qy / s
-        gz = null.T @ g
-        if float(np.abs(gz).max(initial=0.0)) <= 1e-13 * max(1.0, float(np.abs(g).max())):
-            break
-        hess = b_risk * (qf / s - np.outer(qy, qy) / s ** 3)
-        hz = null.T @ hess @ null
-        hz = 0.5 * (hz + hz.T) + 1e-14 * max(1.0, float(np.trace(hz))) * np.eye(hz.shape[0])
-        try:
-            dw = -np.linalg.solve(hz, gz)
-        except np.linalg.LinAlgError:
-            break
-        step = null @ dw
-        scale = 1.0
-        for i in range(step.shape[0]):
-            if step[i] < 0.0 and yf[i] + step[i] < 0.0:
-                scale = min(scale, 0.5 * yf[i] / -step[i])
-        if scale <= 0.0:
-            # A coordinate sits at the wall and wants out; the caller will
-            # reclassify it as active on the next round.
-            break
-        y = y.copy()
-        y[free] = yf + scale * step
-        if scale < 1e-10:
-            break
-    return y
-
-
-def _stationary_polish(c, big_q, b_risk, eps, rows, rhs, x):
-    """Drive the iterate to the eps-smoothed KKT point.
-
-    Line search on objective values stalls once improvements underflow double
-    precision (curvature scales like 1/eps near a degenerate point), so the
-    endgame solves the reduced gradient equations by Newton instead.  Bounds
-    are active only at machine scale; an active bound whose multiplier comes
-    out clearly negative is released and the face re-solved, because the
-    smoothed optimum can sit a few units of eps inside a face that projected
-    descent landed exactly on.
+    The row multipliers fit ``g`` on the free coordinates in least squares.
+    When every free asset returns exactly the slice target, the free rows are
+    rank deficient and the row multipliers keep one degree of freedom ``s``.
+    It is spent on making the smallest bound multiplier ``d_i - s e_i`` as
+    large as possible.  That maximum is set by one bound with ``e_i = 0`` or
+    by a pair with ``e_i > 0 > e_j``, which are then released together; it is
+    infinite when all ``e_i`` share one strict sign.
     """
-    best = x
-    best_score = math.inf
-    y = x.copy()
-    for _ in range(16):
-        active = y <= HARD_ZERO
-        y = y.copy()
-        y[active] = 0.0
-        free = ~active
-        if not free.any():
-            break
-        refined = _newton_on_face(c, big_q, b_risk, eps, rows, rhs, y, free)
-        if refined is None:
-            break
-        y = refined
-        resid, min_dual = _kkt_at(c, big_q, b_risk, rows, y, eps=eps)
-        score = max(resid, -min_dual)
-        if score < best_score:
-            best, best_score = y, score
-        g = _smoothed_grad(c, big_q, b_risk, eps, y)
-        act = y <= HARD_ZERO
-        if not act.any():
-            break
-        sub = rows[:, ~act]
-        lam, *_ = np.linalg.lstsq(sub.T, g[~act], rcond=None)
-        duals = g[act] - rows[:, act].T @ lam
+    sub = rows[:, free]
+    u, svals, vt = np.linalg.svd(sub)
+    rank = _rank(svals)
+    lam = u[:, :rank] @ ((vt[:rank] @ g[free]) / svals[:rank])
+    resid = float(np.abs(g[free] - sub.T @ lam).max())
+    bound = np.flatnonzero(~free)
+    if bound.size == 0:
+        return resid, 0.0, ()
+    duals = g[bound] - rows[:, bound].T @ lam
+    if rank == rows.shape[0]:
         k = int(np.argmin(duals))
-        if duals[k] >= -1e-8 * max(1.0, float(np.abs(g).max())):
-            break
-        y[np.flatnonzero(act)[k]] = max(10.0 * eps, 1e-11)
-    return best
+        return resid, float(duals[k]), (int(bound[k]),)
+    slope = rows[:, bound].T @ u[:, rank]
+    tol = RANK_RTOL * float(np.abs(rows).max())
+    up, down = np.flatnonzero(slope > tol), np.flatnonzero(slope < -tol)
+    options = [(float(duals[k]), (k,)) for k in np.flatnonzero(np.abs(slope) <= tol)]
+    if up.size and down.size:
+        e_up, e_down = slope[up][:, None], slope[down][None, :]
+        cross = (-e_down * duals[up][:, None] + e_up * duals[down][None, :]) / (e_up - e_down)
+        i, j = np.unravel_index(int(np.argmin(cross)), cross.shape)
+        options.append((float(cross[i, j]), (up[i], down[j])))
+    if not options:
+        return resid, math.inf, ()
+    value, pick = min(options, key=lambda o: o[0])
+    return resid, value, tuple(int(bound[k]) for k in pick)
 
 
-def _kkt_at(c, big_q, b_risk, rows, x, eps=EPS_FINAL, active_tol=HARD_ZERO):
-    """Stationarity residual and smallest bound multiplier at x.
+def _active_set(c, big_q, b_risk, rows, x, free, budget):
+    """Primal active-set minimization over ``{x >= 0, rows x = rows x_start}``.
 
-    A bound counts as active only at machine scale: the smoothed optimum can
-    legitimately sit a few units of eps inside a face, and such coordinates
-    are stationary rather than bound-constrained.  Multipliers for the
-    equality rows come from least squares on the free coordinates; the
-    residual is the free-coordinate stationarity defect and min_dual the
-    smallest multiplier among active bounds (non-negative at an optimum).
+    Starts from the feasible ``x`` with the bounds outside ``free`` fixed at
+    zero.  The objective must be smooth and strictly convex on the polytope.
+    Returns the minimizer and the rounds used; raises NoConvergence when the
+    budget runs out.
     """
-    g = _smoothed_grad(c, big_q, b_risk, eps, x)
-    active = x <= active_tol
-    free = ~active
-    if not free.any():
-        return float(np.abs(g).max(initial=0.0)), 0.0
-    sub = rows[:, free]
-    lam, *_ = np.linalg.lstsq(sub.T, g[free], rcond=None)
-    resid = float(np.abs(g[free] - sub.T @ lam).max(initial=0.0))
-    if active.any():
-        min_dual = float((g[active] - rows[:, active].T @ lam).min())
+    x, free = x.copy(), free.copy()
+    for rounds in range(1, budget + 1):
+        idx = np.flatnonzero(free)
+        xf = x[idx]
+        _, svals, vt = np.linalg.svd(rows[:, idx])
+        step, limit = _face_step(c[idx], big_q[np.ix_(idx, idx)], b_risk,
+                                 vt[_rank(svals):].T, xf)
+        falling = np.flatnonzero(step < 0.0)
+        ratios = xf[falling] / -step[falling]
+        if ratios.size and ratios.min() < limit:
+            k = int(np.argmin(ratios))
+            x[idx] = np.maximum(xf + ratios[k] * step, 0.0)
+            x[idx[falling[k]]] = 0.0
+            free[idx[falling[k]]] = False
+            continue
+        x[idx] = np.maximum(xf + step, 0.0)
+        g = _gradient(c, big_q, b_risk, x)
+        _, min_dual, release = _bound_duals(g, rows, free)
+        if min_dual >= -DUAL_TOL * max(1.0, float(np.abs(g).max())):
+            return x, rounds
+        free[list(release)] = True
+    raise NoConvergence(f"active-set solve did not finish in {budget} rounds")
+
+
+def _minimize(c, big_q, b_risk, mu, target, budget):
+    """Exact minimizer over the simplex or its slice where the objective is
+    smooth there, and the rounds used; ``(None, 0)`` for an empty slice."""
+    n = mu.shape[0]
+    if target is None:
+        start = np.full(n, 1.0 / n), np.ones(n, dtype=bool)
     else:
-        min_dual = 0.0
+        start = _slice_seed(mu, target)
+        if start is None:
+            return None, 0
+    return _active_set(c, big_q, b_risk, _rows(mu, target)[0], *start, budget)
+
+
+def _facet_minimum(c, big_q, b_risk, mu, target, budget):
+    """Minimizer over the feasible points with ``x1 = 0`` (or None when there
+    are none) and the rounds used."""
+    y, rounds = _minimize(c[1:], big_q[1:, 1:], b_risk, mu[1:], target, budget)
+    return (None if y is None else np.concatenate(([0.0], y))), rounds
+
+
+def _e1_feasible(mu, target) -> bool:
+    return target is None or abs(target - mu[0]) <= TARGET_SLACK
+
+
+def _kkt_at(c, big_q, b_risk, rows, x):
+    """Stationarity residual and smallest active-bound multiplier at a point
+    other than ``e1``; bounds below ACTIVE_TOL count as active."""
+    resid, min_dual, _ = _bound_duals(_gradient(c, big_q, b_risk, x), rows, x > ACTIVE_TOL)
     return resid, min_dual
 
 
 def minimize_constrained(problem: ConstrainedProblem, tol: float = 1e-9) -> ConstrainedSolution:
     """Minimize the conditional risk measure over the feasible polytope.
 
-    The returned value is within max(tol, smoothing floor) of the true
-    constrained minimum; the returned point is feasible to 1e-10.  Raises
-    InfeasibleSlice for unreachable targets and NoConvergence if the descent
-    machinery breaks down (ill-conditioned inputs).
-    """
-    m, r = problem.model, problem.reduced
-    a, b_risk = m.risk.a, m.risk.b
-    c = a * r.q - m.mu
-    big_q = r.Q
-    feas = _Feasible(m, problem.E)
-    rows = feas.rows
-
-    x = feas.project(feas.seed())
-    total_iter = 0
-    eps = EPS_START
-    while True:
-        grad_fn = lambda y, e=eps: _smoothed_grad(c, big_q, b_risk, e, y)
-        val_fn = lambda y, e=eps: float(c @ y) + b_risk * math.sqrt(float(y @ big_q @ y) + e * e)
-        x, used = _pgd_stage(x, grad_fn, val_fn, feas.project, eps)
-        total_iter += used
-        if eps <= EPS_FINAL:
-            break
-        eps = max(eps / 2.0, EPS_FINAL)
-    x_smoothed = _stationary_polish(c, big_q, b_risk, EPS_FINAL, rows, feas.rhs, x)
-
-    best_x = x_smoothed
-    best_val = _exact_value(c, big_q, b_risk, x_smoothed)
-    multiple = False
-
-    active = x_smoothed <= ACTIVE_TOL
-    x_cur = x_smoothed.copy()
-    n = m.n
-    for _ in range(FACE_ROUNDS):
-        free = ~active
-        if not free.any():
-            break
-        res = _face_solve(c, big_q, rows, feas.rhs, b_risk, free)
-        if res["kind"] == "infeasible":
-            released = np.flatnonzero(active)
-            if released.size == 0:
-                break
-            active[released[0]] = False
-            continue
-        if res["kind"] in ("unbounded", "flat"):
-            if res["kind"] == "flat":
-                multiple = True
-            direction = res["direction"]
-            xf = np.maximum(x_cur[free], 0.0)
-            steps = [xf[i] / -direction[i]
-                     for i in range(direction.shape[0]) if direction[i] < -1e-14]
-            if not steps:
-                break
-            theta = min(steps)
-            y = xf + theta * direction
-            blockers = np.flatnonzero(y <= PRIMAL_TOL)
-            x_cur = np.zeros(n)
-            x_cur[free] = np.maximum(y, 0.0)
-            fidx = np.flatnonzero(free)
-            for blk in blockers:
-                active[fidx[blk]] = True
-            continue
-        y = res["y"]
-        if y.min() < -PRIMAL_TOL:
-            xf = np.maximum(x_cur[free], 0.0)
-            move = y - xf
-            theta = 1.0
-            blocker = -1
-            for i in range(y.shape[0]):
-                if y[i] < -PRIMAL_TOL and move[i] < 0.0:
-                    frac = xf[i] / -move[i]
-                    if frac < theta:
-                        theta = frac
-                        blocker = i
-            xf = xf + theta * move
-            x_cur = np.zeros(n)
-            x_cur[free] = np.maximum(xf, 0.0)
-            if blocker >= 0:
-                active[np.flatnonzero(free)[blocker]] = True
-            continue
-        cand = np.zeros(n)
-        cand[free] = np.maximum(y, 0.0)
-        quad = float(cand @ big_q @ cand)
-        if quad < QUAD_FLOOR:
-            # Degenerate face point: release any active bound whose edge
-            # directional derivative is negative (subgradient-aware test).
-            worst_idx, worst_val = -1, -1e-9 * max(1.0, abs(res["value"]))
-            for i in np.flatnonzero(active):
-                d = -cand.copy()
-                d[i] += 1.0
-                dd = float(c @ d) + b_risk * math.sqrt(max(float(d @ big_q @ d), 0.0))
-                if dd < worst_val:
-                    worst_val = dd
-                    worst_idx = i
-            if worst_idx >= 0:
-                active[worst_idx] = False
-                x_cur = cand
-                continue
-        else:
-            g = _smoothed_grad(c, big_q, b_risk, EPS_FINAL, cand)
-            sub = rows[:, free]
-            lam, *_ = np.linalg.lstsq(sub.T, g[free], rcond=None)
-            if active.any():
-                duals = g[active] - rows[:, active].T @ lam
-                scale = max(1.0, float(np.abs(g).max()))
-                if duals.min() < -DUAL_TOL * scale:
-                    rel = np.flatnonzero(active)[int(np.argmin(duals))]
-                    active[rel] = False
-                    x_cur = cand
-                    continue
-        if res["value"] <= best_val + tol:
-            best_x, best_val = cand, min(res["value"], best_val)
-        break
-
-    feas_err = float(np.abs(rows @ best_x - feas.rhs).max())
-    if feas_err > 1e-10 * max(1.0, float(np.abs(feas.rhs).max())) or \
-            float(best_x.min()) < -1e-10:
-        raise NoConvergence(
-            f"constrained solve left the feasible set (defect {feas_err:.3e})")
-    resid, min_dual = _kkt_at(c, big_q, b_risk, rows, x_smoothed)
-    x_out = m.to_original(best_x)
-    return ConstrainedSolution(x=x_out, value=best_val, multiple=multiple,
-                               iterations=total_iter, kkt_residual=resid,
-                               kkt_min_dual=min_dual,
-                               active_set=tuple(int(i) for i in np.flatnonzero(best_x <= ACTIVE_TOL)),
-                               x_smoothed=m.to_original(x_smoothed))
-
-
-def kkt_certificate(problem: ConstrainedProblem, x, eps: float = EPS_FINAL):
-    """(stationarity residual, smallest active-bound multiplier) at x.
-
-    Evaluated with the eps-smoothed gradient; pass the solver's terminal
-    smoothed iterate for a meaningful certificate when the optimum sits at a
-    degenerate point of the square-root term.
+    ``tol`` is the relative gap below which ``f(e1)`` and the facet minimum
+    count as a tie.  The returned point is feasible to 1e-10.  Raises
+    InfeasibleSlice for unreachable targets, NoConvergence when the active-set
+    budget runs out and NumericalBreakdown when a face system loses
+    definiteness (ill-conditioned inputs).
     """
     m, r = problem.model, problem.reduced
     c = m.risk.a * r.q - m.mu
-    feas = _Feasible(m, problem.E)
+    b_risk = m.risk.b
+    budget = ROUNDS_PER_ASSET * m.n
+    rows, rhs = _rows(m.mu, problem.E)
+    multiple = False
+    if _e1_feasible(m.mu, problem.E):
+        facet, rounds = _facet_minimum(c, r.Q, b_risk, m.mu, problem.E, budget)
+        x = np.zeros(m.n)
+        x[0] = 1.0
+        value = _raw_value(m, r, x)
+        facet_value = math.inf if facet is None else _raw_value(m, r, facet)
+        multiple = abs(facet_value - value) <= tol * max(1.0, abs(value))
+        if facet_value < value:
+            x, value = facet, facet_value
+            resid, min_dual = _kkt_at(c, r.Q, b_risk, rows, x)
+        else:
+            resid, min_dual = 0.0, facet_value - value
+    else:
+        x, rounds = _minimize(c, r.Q, b_risk, m.mu, problem.E, budget)
+        value = _raw_value(m, r, x)
+        resid, min_dual = _kkt_at(c, r.Q, b_risk, rows, x)
+
+    feas_err = float(np.abs(rows @ x - rhs).max())
+    if feas_err > 1e-10 * max(1.0, float(np.abs(rhs).max())):
+        raise NoConvergence(
+            f"constrained solve left the feasible set (defect {feas_err:.3e})")
+    x_out = m.to_original(x)
+    return ConstrainedSolution(x=x_out, value=value, multiple=multiple,
+                               iterations=rounds, kkt_residual=resid,
+                               kkt_min_dual=min_dual,
+                               active_set=tuple(int(i) for i in np.flatnonzero(x_out <= ACTIVE_TOL)))
+
+
+def kkt_certificate(problem: ConstrainedProblem, x):
+    """(stationarity residual, smallest active-bound multiplier) at a feasible x.
+
+    At ``e1``, where the square-root term has no gradient, the pair is
+    ``(0, facet minimum - f(e1))``, non-negative exactly when ``e1`` is optimal.
+    """
+    m, r = problem.model, problem.reduced
+    c = m.risk.a * r.q - m.mu
     xi = m.to_internal(np.asarray(x, dtype=float))
-    return _kkt_at(c, r.Q, m.risk.b, feas.rows, xi, eps=eps)
+    if float(xi @ r.Q @ xi) < QUAD_FLOOR:
+        facet, _ = _facet_minimum(c, r.Q, m.risk.b, m.mu, problem.E, ROUNDS_PER_ASSET * m.n)
+        if facet is None:
+            return 0.0, math.inf
+        return 0.0, _raw_value(m, r, facet) - _raw_value(m, r, xi)
+    return _kkt_at(c, r.Q, m.risk.b, _rows(m.mu, problem.E)[0], xi)
 
 
 def constrained_frontier(problem: ConstrainedProblem, e_grid) -> list[FrontierPoint]:

@@ -47,6 +47,8 @@ class McConfig:
     def __post_init__(self):
         if self.samples < 10_000:
             raise DomainError(f"need at least 1e4 samples, got {self.samples}")
+        if self.seed < 0:
+            raise DomainError(f"seed must be non-negative, got {self.seed}")
         if self.band_epsilon is not None and not self.band_epsilon > 0.0:
             raise DomainError("band_epsilon must be positive")
         if self.rng != "philox":

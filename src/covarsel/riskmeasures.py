@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NumericalBreakdown
-from .model import ValidatedModel, _as_weights
+from .model import WEIGHT_SUM_TOL, ValidatedModel, _as_weights
 from .reduction import ReducedModel
 
 ROUTE_RTOL = 1e-9
@@ -28,7 +28,6 @@ RHO_TOL = 1e-12
 # still well defined there even though its gradient is not, and the all-in-one
 # conditioning-asset portfolio is a legitimate input.
 QUAD_FLOOR = 1e-24
-WEIGHT_SUM_TOL = 1e-12
 
 
 @dataclass(frozen=True)

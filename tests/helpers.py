@@ -90,3 +90,26 @@ def slice_min_oracle(m, r, target):
     fun = lambda t: covar_value_raw(m, r, x0 + t * d)
     _, val = golden_section(fun, lo, hi)
     return min(val, fun(lo), fun(hi))
+
+
+def slice_vertices(mu, target):
+    """Vertices of {x >= 0, sum = 1, mu'x = E}: the two-asset mixes that hit
+    E, and the single assets that return E exactly."""
+    n = mu.shape[0]
+    verts = []
+    for i in range(n):
+        if mu[i] == target:
+            verts.append(np.eye(n)[i])
+        for j in range(n):
+            if mu[i] < target < mu[j]:
+                t = (target - mu[i]) / (mu[j] - mu[i])
+                v = np.zeros(n)
+                v[i], v[j] = 1.0 - t, t
+                verts.append(v)
+    return np.array(verts)
+
+
+def sample_slice(rng, mu, target, size):
+    """Random points of the slice polytope: Dirichlet mixtures of its vertices."""
+    verts = slice_vertices(mu, target)
+    return rng.dirichlet(np.ones(verts.shape[0]), size=size) @ verts

@@ -232,3 +232,43 @@ def test_console_entry_point(scenario_dir):
         capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["status"] == "Unique"
+
+
+@pytest.mark.parametrize("name,argv", [
+    ("example2", ["solve", "--E", "nan"]),
+    ("example2", ["solve", "--E", "inf"]),
+    ("example2", ["validate", "--seed", "-1"]),
+    ("example3", ["frontier", "--E-min", "3", "--E-max", "1", "--steps", "3",
+                  "--format", "csv"]),
+    ("example3", ["frontier", "--E-min", "3", "--E-max", "1", "--steps", "3",
+                  "--mode", "sigma"]),
+])
+def test_bad_numbers_exit_two(scenario_dir, name, argv):
+    """Non-finite targets, a negative seed and a descending return range are
+    input errors: exit 2 with one error line, never a traceback."""
+    env = dict(os.environ)
+    src = str(scenario_dir.parents[0] / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run(
+        [sys.executable, "-m", "covarsel", argv[0],
+         "--scenario", scenario(scenario_dir, name), *argv[1:]],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert proc.stdout == ""
+
+
+def test_non_finite_scenario_target_exit_two(scenario_dir, tmp_path):
+    raw = json.loads((scenario_dir / "example2.json").read_text())
+    raw["targets"] = {"E": float("nan")}
+    path = tmp_path / "nan_target.json"
+    path.write_text(json.dumps(raw))
+    import contextlib
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code, out = run_cli(["solve", "--scenario", str(path)])
+    assert code == 2
+    assert "targets.E" in err.getvalue()
+    assert out == ""

@@ -7,9 +7,11 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from covarsel import (ConstrainedProblem, InfeasibleSlice, Simplex, SimplexSlice,
-                      constrained_frontier, kkt_certificate, minimize_constrained,
-                      project_simplex, solve_critical)
-from helpers import random_model, random_model_delta, slice_min_oracle
+                      constrained_frontier, covar_raw, kkt_certificate,
+                      minimize_constrained, project_simplex, solve_critical)
+from conftest import _pair
+from helpers import (covar_value_raw, random_model, random_model_delta, sample_slice,
+                     slice_min_oracle)
 
 
 class TestProjectSimplex:
@@ -64,6 +66,40 @@ class TestFixtures:
         assert ConstrainedProblem(model=m, reduced=r, E=2.0).feasible_set == SimplexSlice(E=2.0)
 
 
+class TestConditioningVertex:
+    """mu = (0, -0.2, -0.2), sigma = I, conditioning asset 1, a = b = 1.
+
+    Both simplex edges out of e1 = (1, 0, 0) rise with slope 0.2, yet the
+    minimum is f(0, 1/2, 1/2) = 0.2 + 1/sqrt(2) < f(e1) = 1: the directional
+    derivative at e1 is sublinear, so an edge-by-edge test cannot certify e1.
+    """
+
+    @pytest.fixture
+    def problem(self):
+        m, r = _pair([0.0, -0.2, -0.2], np.eye(3), a=1.0, b=1.0)
+        return ConstrainedProblem(model=m, reduced=r)
+
+    def test_minimum_on_the_far_facet(self, problem):
+        sol = minimize_constrained(problem)
+        assert np.allclose(sol.x, [0.0, 0.5, 0.5], atol=1e-12)
+        assert sol.value == pytest.approx(0.2 + 1 / math.sqrt(2), abs=1e-12)
+        assert not sol.multiple
+
+    def test_certificate_rejects_e1(self, problem):
+        resid, min_dual = kkt_certificate(problem, [1.0, 0.0, 0.0])
+        assert resid == 0.0
+        assert min_dual == pytest.approx(0.2 + 1 / math.sqrt(2) - 1.0, abs=1e-12)
+
+    def test_tie_makes_the_segment_optimal(self):
+        # f(e1) = a q1 - mu1 = 1 - mu1 matches the facet minimum
+        best = 0.2 + 1 / math.sqrt(2)
+        m, r = _pair([1.0 - best, -0.2, -0.2], np.eye(3), a=1.0, b=1.0)
+        sol = minimize_constrained(ConstrainedProblem(model=m, reduced=r))
+        assert sol.multiple
+        assert sol.value == pytest.approx(best, abs=1e-12)
+        assert covar_raw(m, r, [0.5, 0.25, 0.25]) == pytest.approx(best, abs=1e-12)
+
+
 class TestOracleAgreement:
     def test_hundred_random_slices(self):
         rng = np.random.default_rng(55)
@@ -87,18 +123,30 @@ class TestOracleAgreement:
             sol = minimize_constrained(ConstrainedProblem(model=m, reduced=r, E=target))
             assert sol.kkt_residual <= 1e-6
             assert sol.kkt_min_dual >= -1e-6
-            # the public certificate evaluated at the smoothed iterate agrees
+            # the public certificate evaluated at the returned point agrees
             resid, min_dual = kkt_certificate(
-                ConstrainedProblem(model=m, reduced=r, E=target), sol.x_smoothed)
+                ConstrainedProblem(model=m, reduced=r, E=target), sol.x)
+            assert resid <= 1e-6
+            assert min_dual >= -1e-6
+
+    def test_kkt_certificate_at_asset_return_targets(self):
+        """A target equal to one asset's return can put the minimizer on that
+        asset's vertex, where the free rows are rank deficient and the row
+        multipliers are not unique."""
+        rng = np.random.default_rng(61)
+        for _ in range(60):
+            m, r = random_model(rng, n=int(rng.integers(3, 9)))
+            problem = ConstrainedProblem(model=m, reduced=r, E=float(rng.choice(m.mu)))
+            sol = minimize_constrained(problem)
+            assert sol.kkt_residual <= 1e-6
+            assert sol.kkt_min_dual >= -1e-6
+            resid, min_dual = kkt_certificate(problem, sol.x)
             assert resid <= 1e-6
             assert min_dual >= -1e-6
 
     def test_never_above_sampled_feasible_points(self):
         """Upper-bound check at dimensions the 1-D oracle cannot reach: the
         solver value must not exceed any sampled feasible point's value."""
-        from covarsel.constrained import _Feasible
-        from helpers import covar_value_raw
-
         rng = np.random.default_rng(59)
         for trial in range(12):
             m, r = random_model(rng, n=int(rng.integers(4, 9)))
@@ -108,9 +156,7 @@ class TestOracleAgreement:
             if target is None:
                 samples = rng.dirichlet(np.ones(m.n), size=20_000)
             else:
-                feas = _Feasible(m, target)
-                samples = [feas.project(s)
-                           for s in rng.dirichlet(np.ones(m.n), size=2_000)]
+                samples = sample_slice(rng, m.mu, target, size=2_000)
             best_sampled = min(covar_value_raw(m, r, s) for s in samples)
             assert sol.value <= best_sampled + 1e-9
 
@@ -156,3 +202,52 @@ class TestConstrainedFrontier:
             dominated = any(e >= p.E - 1e-12 and v < p.value - 1e-10
                             for e, v in values.items() if e != p.E)
             assert p.efficient == (not dominated)
+
+
+class TestSlsqpDifferential:
+    """The solver against scipy's SLSQP on the simplex, on the slice through
+    e1 (E = mu of the conditioning asset), on random slices and on slices at
+    another asset's return."""
+
+    FEAS_TOL = 1e-12
+
+    def _slsqp(self, m, r, target, starts):
+        from scipy.optimize import minimize
+
+        cons = [{"type": "eq", "fun": lambda x: x.sum() - 1.0}]
+        if target is not None:
+            cons.append({"type": "eq", "fun": lambda x: x @ m.mu - target})
+        best = None
+        for x0 in starts:
+            res = minimize(lambda x: covar_value_raw(m, r, x), x0, method="SLSQP",
+                           bounds=[(0.0, None)] * m.n, constraints=cons,
+                           options={"ftol": 1e-15, "maxiter": 500})
+            x = res.x
+            defect = abs(x.sum() - 1.0)
+            if target is not None:
+                defect = max(defect, abs(x @ m.mu - target))
+            # SLSQP's own constraint slack can buy a lower value; count only
+            # points that meet the constraints as tightly as the solver does
+            if x.min() < -self.FEAS_TOL or defect > self.FEAS_TOL:
+                continue
+            value = covar_value_raw(m, r, x)
+            best = value if best is None else min(best, value)
+        return best
+
+    def test_never_above_slsqp(self):
+        rng = np.random.default_rng(60)
+        checked = 0
+        trials = 60
+        for trial in range(trials):
+            m, r = random_model(rng, n=int(rng.integers(3, 31)))
+            target = [None, float(m.mu[0]), float(rng.uniform(m.mu.min(), m.mu.max())),
+                      float(rng.choice(m.mu[1:]))][trial % 4]
+            sol = minimize_constrained(ConstrainedProblem(model=m, reduced=r, E=target))
+            other = (rng.dirichlet(np.ones(m.n)) if target is None
+                     else sample_slice(rng, m.mu, target, size=1)[0])
+            ref = self._slsqp(m, r, target, [m.to_internal(sol.x), other])
+            if ref is None:
+                continue
+            checked += 1
+            assert sol.value <= ref + 1e-9 * max(1.0, abs(ref))
+        assert checked >= 0.8 * trials
