@@ -12,7 +12,8 @@ everything independently.
 from .closedform import (CriticalSolution, EfficiencyClass, FrontierPoint,
                          LemmaOutcome, LemmaParams, SolveStatus,
                          classify_efficiency, frontier, lemma_minimize,
-                         markowitz_critical, merton_scalars, point_is_efficient,
+                         markowitz_critical, markowitz_frontier, merton_scalars,
+                         minimum_variance_efficient, point_is_efficient,
                          solvability_status, solve_critical)
 from .constrained import (ConstrainedProblem, ConstrainedSolution, Simplex,
                           SimplexSlice, constrained_frontier, kkt_certificate,

@@ -21,8 +21,9 @@ import sys
 import numpy as np
 
 from .closedform import (FrontierPoint, SolveStatus, classify_efficiency, frontier,
-                         markowitz_critical, merton_scalars, point_is_efficient,
-                         solvability_status, solve_critical, target_grid)
+                         markowitz_frontier, merton_scalars, minimum_variance_efficient,
+                         point_is_efficient, solvability_status, solve_critical,
+                         target_grid)
 from .constrained import ConstrainedProblem, minimize_constrained
 from .errors import (CovarselError, NoConvergence, NumericalBreakdown,
                      PreconditionViolated, ScenarioError)
@@ -133,6 +134,20 @@ def _target(value, flag, scenario: Scenario, key):
     return float(value)
 
 
+def _steps(value, scenario: Scenario):
+    """``--steps``, else the scenario's ``targets.steps``, as an int >= 1;
+    None when neither is set.  A float is accepted only if it is integral."""
+    name = "--steps"
+    if value is None:
+        value, name = scenario.targets.get("steps"), "targets.steps"
+        if value is None:
+            return None
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or \
+            not (math.isfinite(value) and value == int(value) and value >= 1):
+        raise ScenarioError(f"{name}: expected an integer >= 1, got {value!r}")
+    return int(value)
+
+
 def load_scenario(path: str) -> Scenario:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -233,7 +248,8 @@ def cmd_solve(scenario: Scenario, target: float, fmt: str, out) -> int:
     if sol.status is SolveStatus.MARKOWITZ_FALLBACK:
         _, beta_m, gamma_m = merton_scalars(m)
         point = FrontierPoint(E=target, value=sol.value, weights=sol.x,
-                              efficient=bool(target >= beta_m / gamma_m - 1e-12),
+                              efficient=bool(minimum_variance_efficient(target,
+                                                                        beta_m / gamma_m)),
                               status=sol.status.value)
         _emit_points([point], m.n, fmt if fmt != "text" else "csv", out)
         return EXIT_OK
@@ -262,15 +278,14 @@ def cmd_frontier(scenario: Scenario, e_min, e_max, steps, mode, fmt, out) -> int
             _emit_record(record, fmt if fmt != "text" else "text", out)
             return EXIT_REGIME
     else:
-        _, beta_m, gamma_m = merton_scalars(m)
-        gmv = beta_m / gamma_m
+        grid = target_grid(e_min, e_max, steps)
+        weights, gmv = markowitz_frontier(m, grid)
+        flags = minimum_variance_efficient(grid, gmv).tolist()
         points = []
-        for e in target_grid(e_min, e_max, steps):
-            w = markowitz_critical(m, float(e))
+        for e, w, f in zip(grid.tolist(), weights, flags):
             sigma, var_a = sigma_and_var(m, w)
-            points.append(FrontierPoint(E=float(e),
-                                        value=sigma if mode == "sigma" else var_a,
-                                        weights=w, efficient=bool(e >= gmv - 1e-12),
+            points.append(FrontierPoint(E=e, value=sigma if mode == "sigma" else var_a,
+                                        weights=w, efficient=f,
                                         status=SolveStatus.UNIQUE.value))
     _emit_points(points, m.n, fmt if fmt != "text" else "csv", out)
     return EXIT_OK
@@ -372,11 +387,11 @@ def main(argv=None) -> int:
         if args.command == "frontier":
             e_min = _target(args.E_min, "--E-min", scenario, "E_min")
             e_max = _target(args.E_max, "--E-max", scenario, "E_max")
-            steps = args.steps if args.steps is not None else scenario.targets.get("steps")
+            steps = _steps(args.steps, scenario)
             if e_min is None or e_max is None or steps is None:
                 raise ScenarioError(
                     "frontier needs --E-min/--E-max/--steps or targets in the scenario")
-            return cmd_frontier(scenario, e_min, e_max, int(steps),
+            return cmd_frontier(scenario, e_min, e_max, steps,
                                 args.mode, args.format, out)
         if args.command == "constrained":
             if not (scenario.non_negative or args.non_negative):

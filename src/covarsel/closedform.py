@@ -14,6 +14,12 @@ sign of ``Delta = b^2 alpha_C - a^2 detG`` separates three regimes:
 * ``Delta = 0``   a finite infimum that is approached but never attained;
 * ``Delta < 0``   the objective is unbounded below on the feasible affine set.
 
+The minimizer is affine in (E_hat, |E_hat|) with two vectors fixed per model,
+and ``reduce_model`` keeps the two solves behind them, so a solve costs no
+factorization: ``frontier`` evaluates its whole grid as one rank-2 product
+and rechecks every row in one batched call, and ``solve_critical`` is the
+one-row case of the same kernel.
+
 In the degenerate regimes the solver returns an explicit feasible ray along
 which the objective decreases (to the infimum, or without bound), so the
 diagnosis can be verified by direct evaluation.  When the independence
@@ -33,7 +39,7 @@ from .errors import DomainError, NumericalBreakdown, PreconditionViolated
 from .linalg import cholesky_spd, solve_cholesky
 from .model import ValidatedModel
 from .reduction import ReducedModel
-from .riskmeasures import covar_portfolio
+from .riskmeasures import _covar_rows, _first, covar_portfolio
 
 DELTA_RTOL = 1e-12
 CHECK_RTOL = 1e-9
@@ -159,41 +165,100 @@ def classify_efficiency(r: ReducedModel) -> EfficiencyClass:
     return EfficiencyClass.ALL_EFFICIENT
 
 
+def _merton(m: ValidatedModel):
+    """``S^-1 mu``, ``S^-1 1`` and the scalars (mu'S^-1 mu, mu'S^-1 1, 1'S^-1 1),
+    from one factorization of sigma."""
+    low = cholesky_spd(m.sigma)
+    si_mu = solve_cholesky(low, m.mu)
+    si_one = solve_cholesky(low, np.ones(m.n))
+    return si_mu, si_one, (float(m.mu @ si_mu), float(m.mu @ si_one),
+                           float(np.ones(m.n) @ si_one))
+
+
 def merton_scalars(m: ValidatedModel) -> tuple[float, float, float]:
     """The classical scalars mu'S^-1 mu, mu'S^-1 1, 1'S^-1 1."""
-    low = cholesky_spd(m.sigma)
-    si_mu = solve_cholesky(low, m.mu)
-    si_one = solve_cholesky(low, np.ones(m.n))
-    return float(m.mu @ si_mu), float(m.mu @ si_one), float(np.ones(m.n) @ si_one)
+    return _merton(m)[2]
 
 
-def markowitz_critical(m: ValidatedModel, E: float) -> np.ndarray:
-    """Minimum-variance portfolio at target return E (Merton's closed form).
+def minimum_variance_efficient(E, gmv: float):
+    """Classical efficiency rule: a minimum-variance portfolio is efficient at
+    or above the global minimum-variance return ``gmv = beta_m / gamma_m``.
+    Elementwise over an array of returns E."""
+    return np.asarray(E) >= gmv - 1e-12
 
+
+def markowitz_frontier(m: ValidatedModel, targets) -> tuple[np.ndarray, float]:
+    """Minimum-variance portfolios at every target return (Merton's closed form).
+
+    Returns one row of weights per target, in the caller's asset order, and
+    the global minimum-variance return.  Sigma is factored once for all rows.
     The stationarity condition puts ``sigma @ x`` in span{mu, ones}; both
-    equality constraints are verified to CONSTRAINT_TOL before returning.
-    Weights come back in the caller's asset order.
+    equality constraints are verified row by row to CONSTRAINT_TOL.
     """
-    low = cholesky_spd(m.sigma)
-    si_mu = solve_cholesky(low, m.mu)
-    si_one = solve_cholesky(low, np.ones(m.n))
-    alpha_m = float(m.mu @ si_mu)
-    beta_m = float(m.mu @ si_one)
-    gamma_m = float(np.ones(m.n) @ si_one)
+    targets = np.asarray(targets, dtype=float)
+    si_mu, si_one, (alpha_m, beta_m, gamma_m) = _merton(m)
     denom = alpha_m * gamma_m - beta_m * beta_m
     if denom <= 0.0:
         raise NumericalBreakdown("minimum-variance scalars lost strict positivity")
-    x = ((E * gamma_m - beta_m) * si_mu + (alpha_m - E * beta_m) * si_one) / denom
-    scale = max(1.0, abs(E))
-    if abs(float(x @ m.mu) - E) > CONSTRAINT_TOL * scale or \
-            abs(float(x.sum()) - 1.0) > CONSTRAINT_TOL:
+    x = (np.outer(targets * gamma_m - beta_m, si_mu)
+         + np.outer(alpha_m - targets * beta_m, si_one)) / denom
+    scale = np.maximum(1.0, np.abs(targets))
+    if not (np.all(np.abs(x @ m.mu - targets) <= CONSTRAINT_TOL * scale)
+            and np.all(np.abs(x.sum(axis=1) - 1.0) <= CONSTRAINT_TOL)):
         raise NumericalBreakdown("minimum-variance solve violated its constraints")
-    return m.to_original(x)
+    return m.to_original(x), beta_m / gamma_m
 
 
-def _embed(m: ValidatedModel, x_hat: np.ndarray) -> np.ndarray:
-    """Lift reduced coordinates to a full internal weight vector."""
-    return np.concatenate(([1.0 - float(x_hat.sum())], x_hat))
+def markowitz_critical(m: ValidatedModel, E: float) -> np.ndarray:
+    """Minimum-variance portfolio at target return E, in the caller's asset
+    order; the one-target case of ``markowitz_frontier``."""
+    return markowitz_frontier(m, [E])[0][0]
+
+
+def _embed(x_hat: np.ndarray) -> np.ndarray:
+    """Lift rows of reduced coordinates to full internal weight vectors."""
+    return np.column_stack((1.0 - x_hat.sum(axis=1), x_hat))
+
+
+def _unique_critical(m: ValidatedModel, r: ReducedModel, e_hat: np.ndarray):
+    """Minimizers and optimal values at every excess return in ``e_hat``
+    (Delta > 0), checked by ``_recheck``.
+
+    Each minimizer is ``E_hat u + |E_hat| w`` with ``u = Qhat^-1 mu_hat / alpha_C``
+    and ``w`` fixed per model, so the rows are one rank-2 product.  Returns
+    internal weights (one row per target) and the values.
+    """
+    a = m.risk.a
+    root = math.sqrt(r.Delta)
+    coef = np.abs(e_hat) * a / (r.alpha_C * root)
+    x_hat = np.outer(e_hat / r.alpha_C, r.qinv_mu) \
+        + np.outer(coef, r.beta_C * r.qinv_mu - r.alpha_C * r.qinv_qh)
+    x_hat[e_hat == 0.0] = 0.0
+    values = -m.mu1 + a * m.sigma1 \
+        + e_hat * (a * r.beta_C / r.alpha_C - 1.0) + np.abs(e_hat) / r.alpha_C * root
+    return _recheck(m, r, e_hat, x_hat, values), values
+
+
+def _recheck(m: ValidatedModel, r: ReducedModel, e_hat: np.ndarray,
+             x_hat: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Check closed-form rows and return them as internal weights.
+
+    Every row of reduced weights must meet its return constraint to
+    CONSTRAINT_TOL, and its closed-form value must match re-evaluation
+    through both risk routes to CHECK_RTOL; each test fails on NaN.  Raises
+    NumericalBreakdown otherwise.
+    """
+    if not np.all(np.abs(x_hat @ r.mu_hat - e_hat)
+                  <= CONSTRAINT_TOL * np.maximum(1.0, np.abs(e_hat))):
+        raise NumericalBreakdown("critical solve violated the return constraint")
+    x_int = _embed(x_hat)
+    recheck = _covar_rows(m, r, x_int)[3]
+    i = _first(~(np.abs(recheck - values) <= CHECK_RTOL * np.maximum(1.0, np.abs(values))))
+    if i is not None:
+        raise NumericalBreakdown(
+            f"closed-form value {float(values[i])!r} disagrees with "
+            f"re-evaluation {float(recheck[i])!r}")
+    return x_int
 
 
 def _ray(m: ValidatedModel, r: ReducedModel, e_hat: float):
@@ -203,11 +268,9 @@ def _ray(m: ValidatedModel, r: ReducedModel, e_hat: float):
     direction keeps both constraints invariant and drives the auxiliary
     parameter of the scalar reduction to -inf at unit rate.
     """
-    qinv_mu = solve_cholesky(r.qhat_chol, r.mu_hat)
-    qinv_qh = solve_cholesky(r.qhat_chol, r.q_hat)
-    base_hat = (e_hat / r.alpha_C) * qinv_mu
-    dir_hat = (r.beta_C * qinv_mu - r.alpha_C * qinv_qh) / r.detG
-    base = _embed(m, base_hat)
+    base_hat = (e_hat / r.alpha_C) * r.qinv_mu
+    dir_hat = (r.beta_C * r.qinv_mu - r.alpha_C * r.qinv_qh) / r.detG
+    base = _embed(base_hat[None, :])[0]
     direction = np.concatenate(([-float(dir_hat.sum())], dir_hat))
     return m.to_original(base), m.to_original(direction)
 
@@ -220,7 +283,7 @@ def solve_critical(m: ValidatedModel, r: ReducedModel, E: float) -> CriticalSolu
     cross-checked by re-evaluating the risk measure at the returned weights.
     """
     e_hat = float(E) - m.mu1
-    a, b = m.risk.a, m.risk.b
+    a = m.risk.a
 
     if not r.independent:
         x = markowitz_critical(m, E)
@@ -231,33 +294,16 @@ def solve_critical(m: ValidatedModel, r: ReducedModel, E: float) -> CriticalSolu
 
     regime = _delta_regime(r)
     if regime == 1:
-        root = math.sqrt(r.Delta)
+        x_int, values = _unique_critical(m, r, np.array([e_hat]))
         if e_hat == 0.0:
-            x_hat = np.zeros(m.n - 1)
-            t_hat = 0.0
-            lam1 = lam2 = 0.0
+            t_hat = lam1 = lam2 = 0.0
         else:
-            qinv_mu = solve_cholesky(r.qhat_chol, r.mu_hat)
-            qinv_qh = solve_cholesky(r.qhat_chol, r.q_hat)
-            coef = abs(e_hat) * a / (r.alpha_C * root)
-            x_hat = (e_hat / r.alpha_C) * qinv_mu \
-                + coef * (r.beta_C * qinv_mu - r.alpha_C * qinv_qh)
+            root = math.sqrt(r.Delta)
             t_hat = r.beta_C / r.alpha_C * e_hat - abs(e_hat) * a * r.detG / (r.alpha_C * root)
             lam1 = e_hat / r.alpha_C + abs(e_hat) * a * r.beta_C / (r.alpha_C * root)
             lam2 = -abs(e_hat) * a / root
-        value = -m.mu1 + a * m.sigma1 \
-            + e_hat * (a * r.beta_C / r.alpha_C - 1.0) + abs(e_hat) / r.alpha_C * root
-        x_int = _embed(m, x_hat)
-        x = m.to_original(x_int)
-
-        if abs(float(x_hat @ r.mu_hat) - e_hat) > CONSTRAINT_TOL * max(1.0, abs(e_hat)):
-            raise NumericalBreakdown("critical solve violated the return constraint")
-        recheck = covar_portfolio(m, r, x).covar
-        if abs(recheck - value) > CHECK_RTOL * max(1.0, abs(value)):
-            raise NumericalBreakdown(
-                f"closed-form value {value!r} disagrees with re-evaluation {recheck!r}")
-        return CriticalSolution(E_hat=e_hat, x=x, value=value,
-                                status=SolveStatus.UNIQUE,
+        return CriticalSolution(E_hat=e_hat, x=m.to_original(x_int[0]),
+                                value=float(values[0]), status=SolveStatus.UNIQUE,
                                 efficiency_class=classify_efficiency(r),
                                 t_hat=t_hat, lambda1=lam1, lambda2=lam2)
 
@@ -285,8 +331,11 @@ class FrontierPoint:
     status: str
 
 
-def point_is_efficient(eff: EfficiencyClass, e_hat: float) -> bool:
-    """Whether the critical portfolio at excess return e_hat is efficient."""
+def point_is_efficient(eff: EfficiencyClass, e_hat):
+    """Whether the critical portfolio at excess return e_hat is efficient.
+
+    Given an array, the E_hat >= 0 class answers elementwise; the other two
+    classes answer with one bool for every point."""
     if eff is EfficiencyClass.NONE_EFFICIENT:
         return False
     if eff is EfficiencyClass.ALL_EFFICIENT:
@@ -309,30 +358,28 @@ def frontier(m: ValidatedModel, r: ReducedModel, e_min: float, e_max: float,
 
     Requires the unique-solution regime (Delta > 0); with dependent vectors
     the fallback critical set is sampled instead, flagged per the classical
-    minimum-variance efficiency rule.  Output is ordered by E and independent
-    of evaluation order.
+    minimum-variance efficiency rule.  The whole grid is solved as one batch
+    and rechecked in one call, with the same per-point checks as
+    ``solve_critical``; each point equals ``solve_critical`` at its target.
+    Output is ordered by E.
     """
     grid = target_grid(e_min, e_max, steps)
 
     if not r.independent:
-        _, beta_m, gamma_m = merton_scalars(m)
-        gmv = beta_m / gamma_m
-        points = []
-        for e in grid:
-            sol = solve_critical(m, r, float(e))
-            points.append(FrontierPoint(E=float(e), value=sol.value, weights=sol.x,
-                                        efficient=bool(e >= gmv - 1e-12),
-                                        status=sol.status.value))
-        return points
-
-    if _delta_regime(r) != 1:
-        raise PreconditionViolated(
-            f"frontier is defined only for Delta > 0, got Delta={r.Delta!r}")
-    eff = classify_efficiency(r)
-    points = []
-    for e in grid:
-        sol = solve_critical(m, r, float(e))
-        points.append(FrontierPoint(E=float(e), value=sol.value, weights=sol.x,
-                                    efficient=point_is_efficient(eff, sol.E_hat),
-                                    status=sol.status.value))
-    return points
+        weights, gmv = markowitz_frontier(m, grid)
+        values = _covar_rows(m, r, weights[:, m.perm])[3]
+        flags = minimum_variance_efficient(grid, gmv)
+        status = SolveStatus.MARKOWITZ_FALLBACK
+    else:
+        if _delta_regime(r) != 1:
+            raise PreconditionViolated(
+                f"frontier is defined only for Delta > 0, got Delta={r.Delta!r}")
+        eff = classify_efficiency(r)
+        e_hat = grid - m.mu1
+        x_int, values = _unique_critical(m, r, e_hat)
+        weights = m.to_original(x_int)
+        flags = np.broadcast_to(point_is_efficient(eff, e_hat), grid.shape)
+        status = SolveStatus.UNIQUE
+    label = status.value
+    return [FrontierPoint(E=e, value=v, weights=w, efficient=f, status=label)
+            for e, v, w, f in zip(grid.tolist(), values.tolist(), weights, flags.tolist())]

@@ -47,7 +47,8 @@ class DimensionTooLarge(CovarselError):
 
 
 class TooFewBandSamples(CovarselError):
-    """Conditioning band retained too few Monte-Carlo draws."""
+    """Too few Monte-Carlo draws to read the quantile: the conditioning band
+    retained too few, or too few lie beyond the beta-quantile."""
 
 
 class ScenarioError(CovarselError):

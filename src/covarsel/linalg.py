@@ -1,9 +1,11 @@
-"""Dense Cholesky helpers for small symmetric positive definite systems.
+"""Dense Cholesky helpers for symmetric positive definite systems.
 
-Target size is n <= 100, so plain row loops over vectorized numpy slices are
-fast enough and keep the pivot test explicit: a factorization is accepted only
-if every pivot stays above ``tol_scale * max(diag)``.  That makes "positive
-definite" a deterministic, reproducible predicate with no eigensolver involved.
+The factorization is LAPACK's, through ``np.linalg.cholesky``; on top of it a
+factor is accepted only if every pivot ``diag(L)**2`` stays above
+``tol_scale * max(diag)``.  That makes "positive definite" a deterministic,
+reproducible predicate with no eigensolver involved.  The triangular solves
+are plain row loops: the closed-form solver needs only two of them per
+reduced model, so their cost is fixed per market, not per target.
 """
 
 from __future__ import annotations
@@ -18,8 +20,9 @@ class PivotFailure(ValueError):
 def cholesky_spd(a: np.ndarray, tol_scale: float = 1e-10) -> np.ndarray:
     """Lower Cholesky factor of a symmetric matrix with a relative pivot floor.
 
-    Raises PivotFailure when any pivot (before the square root) is not larger
-    than ``tol_scale * max(diag(a))``.
+    Raises PivotFailure when LAPACK finds the matrix not positive definite,
+    or when any pivot ``L[j, j]**2`` is not larger than
+    ``tol_scale * max(diag(a))``.  Only the lower triangle of ``a`` is read.
     """
     a = np.asarray(a, dtype=float)
     n = a.shape[0]
@@ -27,14 +30,15 @@ def cholesky_spd(a: np.ndarray, tol_scale: float = 1e-10) -> np.ndarray:
     if diag_max <= 0.0:
         raise PivotFailure("no positive diagonal entry")
     tol = tol_scale * diag_max
-    low = np.zeros((n, n))
-    for j in range(n):
-        pivot = a[j, j] - low[j, :j] @ low[j, :j]
-        if pivot <= tol:
-            raise PivotFailure(f"pivot {pivot:.3e} at column {j} below floor {tol:.3e}")
-        low[j, j] = np.sqrt(pivot)
-        if j + 1 < n:
-            low[j + 1:, j] = (a[j + 1:, j] - low[j + 1:, :j] @ low[j, :j]) / low[j, j]
+    try:
+        low = np.linalg.cholesky(a)
+    except np.linalg.LinAlgError as exc:
+        raise PivotFailure(f"factorization failed: {exc}") from exc
+    pivots = np.diag(low) ** 2
+    below = np.flatnonzero(~(pivots > tol))
+    if below.size:
+        j = int(below[0])
+        raise PivotFailure(f"pivot {pivots[j]:.3e} at column {j} below floor {tol:.3e}")
     return low
 
 
@@ -48,8 +52,3 @@ def solve_cholesky(low: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     for i in range(n - 1, -1, -1):
         x[i] = (y[i] - low[i + 1:, i] @ x[i + 1:]) / low[i, i]
     return x
-
-
-def spd_solve(a: np.ndarray, rhs: np.ndarray, tol_scale: float = 1e-10) -> np.ndarray:
-    """Factor-and-solve convenience for a single right-hand side."""
-    return solve_cholesky(cholesky_spd(a, tol_scale), np.asarray(rhs, dtype=float))

@@ -194,8 +194,9 @@ class ValidatedModel:
         return w[self.perm]
 
     def to_original(self, weights: np.ndarray) -> np.ndarray:
+        """Caller's asset order; a 2-D array is taken as one portfolio per row."""
         w = np.asarray(weights, dtype=float)
-        return w[self.inv_perm]
+        return w[..., self.inv_perm]
 
 
 def _as_weights(model: ValidatedModel, x) -> np.ndarray:

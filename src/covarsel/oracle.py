@@ -86,13 +86,19 @@ def mc_covar(m: ValidatedModel, x, cfg: McConfig) -> McEstimate:
     """Monte-Carlo estimate of the conditional value-at-risk of portfolio x.
 
     Returns the exact-conditional estimate with its bootstrap standard error,
-    plus the band estimate for diagnostics.  Raises TooFewBandSamples when the
-    band retains fewer than 100 draws.
+    plus the band estimate for diagnostics.  Raises TooFewBandSamples when
+    fewer than MIN_BAND_KEPT of the draws lie at or below the beta-quantile,
+    or when the band retains fewer than MIN_BAND_KEPT draws.
     """
     w = _as_weights(m, x)
     xi = m.to_internal(w)
     a, b = m.risk.a, m.risk.b
     beta_level = m.risk.beta_level
+    tail_draws = math.ceil(beta_level * cfg.samples)
+    if tail_draws < MIN_BAND_KEPT:
+        raise TooFewBandSamples(
+            f"beta = {beta_level:.3e} leaves {tail_draws} of {cfg.samples} draws at or "
+            f"below the quantile (< {MIN_BAND_KEPT}); use more samples or a smaller b")
 
     mu_x = float(xi @ m.mu)
     sigma_x = math.sqrt(max(0.0, float(xi @ m.sigma @ xi)))

@@ -10,7 +10,9 @@ with excess means ``mu_hat`` and excess covariations ``q_hat``.
 The Gramian of ``mu_hat`` and ``q_hat`` under the ``Qhat``-inverse inner
 product supplies the scalars ``alpha_C, beta_C, gamma_C`` and ``detG``; the
 sign of the discriminant ``Delta = b^2 alpha_C - a^2 detG`` decides whether a
-minimum-risk portfolio exists for a given target return.
+minimum-risk portfolio exists for a given target return.  The two solves
+behind it, ``Qhat^-1 mu_hat`` and ``Qhat^-1 q_hat``, are kept: every
+closed-form portfolio of the model is a combination of them.
 """
 
 from __future__ import annotations
@@ -30,7 +32,10 @@ ZERO_BLOCK_TOL = 1e-12
 
 @dataclass(frozen=True)
 class ReducedModel:
-    """Every derived quantity, plus the stress intensities they pair with."""
+    """Every derived quantity, plus the stress intensities they pair with.
+
+    ``qinv_mu = Qhat^-1 mu_hat`` and ``qinv_qh = Qhat^-1 q_hat``.
+    """
 
     q: np.ndarray
     Q: np.ndarray
@@ -45,10 +50,11 @@ class ReducedModel:
     independent: bool
     a: float
     b: float
-    qhat_chol: np.ndarray = field(repr=False)
+    qinv_mu: np.ndarray = field(repr=False)
+    qinv_qh: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        for name in ("q", "Q", "Qhat", "mu_hat", "q_hat", "qhat_chol"):
+        for name in ("q", "Q", "Qhat", "mu_hat", "q_hat", "qinv_mu", "qinv_qh"):
             arr = np.asarray(getattr(self, name))
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
@@ -67,17 +73,18 @@ def gramian_scalars(qhat_matrix, mu_hat, q_hat):
         low = cholesky_spd(qhat_matrix)
     except PivotFailure as exc:
         raise NumericalBreakdown(f"reduced covariance block not PD: {exc}") from exc
-    return _gramian_from_chol(low, mu_hat, q_hat)
+    return _gramian_from_chol(low, mu_hat, q_hat)[:4]
 
 
 def _gramian_from_chol(low, mu_hat, q_hat):
+    """(alpha_C, beta_C, gamma_C, detG, Qhat^-1 mu_hat, Qhat^-1 q_hat)."""
     u = solve_cholesky(low, mu_hat)
     v = solve_cholesky(low, q_hat)
     alpha_c = float(mu_hat @ u)
     beta_c = float(mu_hat @ v)
     gamma_c = float(q_hat @ v)
     det_g = alpha_c * gamma_c - beta_c * beta_c
-    return alpha_c, beta_c, gamma_c, det_g
+    return alpha_c, beta_c, gamma_c, det_g, u, v
 
 
 def check_independence(m: ValidatedModel) -> bool:
@@ -138,7 +145,7 @@ def reduce_model(m: ValidatedModel) -> ReducedModel:
 
     mu_hat = m.mu[1:] - m.mu[0]
     q_hat = q[1:] - q[0]
-    alpha_c, beta_c, gamma_c, det_g = _gramian_from_chol(low, mu_hat, q_hat)
+    alpha_c, beta_c, gamma_c, det_g, u, v = _gramian_from_chol(low, mu_hat, q_hat)
     independent = check_independence(m)
     if independent and (alpha_c <= 0.0 or gamma_c <= 0.0 or det_g <= 0.0):
         raise NumericalBreakdown(
@@ -150,4 +157,4 @@ def reduce_model(m: ValidatedModel) -> ReducedModel:
     return ReducedModel(q=q, Q=big_q, Qhat=qhat, mu_hat=mu_hat, q_hat=q_hat,
                         alpha_C=alpha_c, beta_C=beta_c, gamma_C=gamma_c,
                         detG=det_g, Delta=delta, independent=independent,
-                        a=a, b=b, qhat_chol=low)
+                        a=a, b=b, qinv_mu=u, qinv_qh=v)

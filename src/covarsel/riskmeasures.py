@@ -8,7 +8,9 @@ Two routes compute the same conditional value-at-risk and must agree:
   ``-x'mu + a x'q + b sqrt(x'Qx)``.
 
 ``covar_portfolio`` evaluates both and raises NumericalBreakdown if they
-drift apart, which in practice only happens on corrupted inputs.
+drift apart, which in practice only happens on corrupted inputs.  The
+check works row by row on a stack of portfolios, so the closed-form
+frontier rechecks a whole grid in one call.
 """
 
 from __future__ import annotations
@@ -57,10 +59,16 @@ def covar_bivariate(mu_x: float, sigma_x: float, rho: float, a: float, b: float)
     return -mu_x + sigma_x * (rho * a + b * math.sqrt(max(0.0, 1.0 - rho * rho)))
 
 
+def _raw_rows(m: ValidatedModel, r: ReducedModel, xi: np.ndarray):
+    """Reduced-route objective of each row of ``xi`` (internal order), with
+    the quadratic ``x'Qx`` it took the root of."""
+    quad = np.einsum("ij,ij->i", xi @ r.Q, xi)
+    root = np.sqrt(np.where(quad < QUAD_FLOOR, 0.0, quad))
+    return -(xi @ m.mu) + m.risk.a * (xi @ r.q) + m.risk.b * root, quad
+
+
 def _raw_value(m: ValidatedModel, r: ReducedModel, x_int: np.ndarray) -> float:
-    quad = float(x_int @ r.Q @ x_int)
-    root = 0.0 if quad < QUAD_FLOOR else math.sqrt(quad)
-    return float(-(x_int @ m.mu) + m.risk.a * (x_int @ r.q) + m.risk.b * root)
+    return float(_raw_rows(m, r, x_int[None, :])[0][0])
 
 
 def covar_raw(m: ValidatedModel, r: ReducedModel, x) -> float:
@@ -73,6 +81,46 @@ def covar_raw(m: ValidatedModel, r: ReducedModel, x) -> float:
     return _raw_value(m, r, m.to_internal(w))
 
 
+def _first(bad: np.ndarray) -> int | None:
+    """Index of the first flagged row, or None."""
+    rows = np.flatnonzero(bad)
+    return int(rows[0]) if rows.size else None
+
+
+def _covar_rows(m: ValidatedModel, r: ReducedModel, xi: np.ndarray):
+    """Both routes for every row of ``xi``: budget-feasible portfolios in
+    internal order, one per row.
+
+    Returns arrays ``(expected, sigma, rho, value)`` with the reduced-route
+    value.  Raises NumericalBreakdown where a row's volatility is not positive
+    or the routes differ by more than ROUTE_RTOL (relative), and DomainError
+    where |rho| > 1 + RHO_TOL.  Each test is written to fail on NaN.
+    """
+    a, b = m.risk.a, m.risk.b
+    value, quad = _raw_rows(m, r, xi)
+    expected = xi @ m.mu
+    sigma2 = np.einsum("ij,ij->i", xi @ m.sigma, xi)
+    sigma = np.sqrt(np.maximum(0.0, sigma2))
+    i = _first(~(sigma > 0.0))
+    if i is not None:
+        raise NumericalBreakdown(f"portfolio volatility {float(sigma[i])!r} is not positive")
+    rho = (xi @ r.q) / sigma
+    i = _first(~(np.abs(rho) <= 1.0 + RHO_TOL))
+    if i is not None:
+        raise DomainError(f"correlation out of range: {float(rho[i])!r}")
+    rho = np.clip(rho, -1.0, 1.0)
+    # Bivariate route, with the complement 1 - rho^2 taken from the projected
+    # quadratic (quad = sigma^2 (1 - rho^2)); forming sigma^2 - (x'q)^2 instead
+    # would cancel catastrophically near |rho| = 1.
+    complement = np.where(quad < QUAD_FLOOR, 0.0, np.clip(quad / sigma2, 0.0, 1.0))
+    other = -expected + sigma * (rho * a + b * np.sqrt(complement))
+    i = _first(~(np.abs(other - value) <= ROUTE_RTOL * np.maximum(1.0, np.abs(value))))
+    if i is not None:
+        raise NumericalBreakdown(
+            f"risk evaluation routes disagree: {float(value[i])!r} vs {float(other[i])!r}")
+    return expected, sigma, rho, value
+
+
 def covar_portfolio(m: ValidatedModel, r: ReducedModel, x) -> PortfolioReport:
     """Full risk report for a budget-feasible portfolio, cross-checked.
 
@@ -81,34 +129,11 @@ def covar_portfolio(m: ValidatedModel, r: ReducedModel, x) -> PortfolioReport:
     """
     w = _as_weights(m, x)
     total = float(w.sum())
-    if abs(total - 1.0) > WEIGHT_SUM_TOL * max(1.0, abs(total)):
+    if not abs(total - 1.0) <= WEIGHT_SUM_TOL * max(1.0, abs(total)):
         raise DomainError(f"portfolio weights sum to {total!r}, expected 1")
-    xi = m.to_internal(w)
-
-    a, b = m.risk.a, m.risk.b
-    expected = float(xi @ m.mu)
-    sigma2 = float(xi @ m.sigma @ xi)
-    sigma = math.sqrt(max(0.0, sigma2))
-    xq = float(xi @ r.q)
-
-    quad = float(xi @ r.Q @ xi)
-    root = 0.0 if quad < QUAD_FLOOR else math.sqrt(quad)
-    value = -expected + a * xq + b * root
-
-    rho = xq / sigma
-    if abs(rho) > 1.0 + RHO_TOL:
-        raise DomainError(f"correlation out of range: {rho!r}")
-    rho = min(1.0, max(-1.0, rho))
-    # Bivariate route, with the complement 1 - rho^2 taken from the projected
-    # quadratic (quad = sigma^2 (1 - rho^2)); forming sigma^2 - (x'q)^2 instead
-    # would cancel catastrophically near |rho| = 1.
-    complement = min(1.0, max(0.0, quad / sigma2)) if quad >= QUAD_FLOOR else 0.0
-    other = -expected + sigma * (rho * a + b * math.sqrt(complement))
-    if abs(other - value) > ROUTE_RTOL * max(1.0, abs(value)):
-        raise NumericalBreakdown(
-            f"risk evaluation routes disagree: {value!r} vs {other!r}")
-
-    return PortfolioReport(E=expected, sigma=sigma, var_alpha=-expected + a * sigma,
+    expected, sigma, rho, value = (float(v[0]) for v in
+                                   _covar_rows(m, r, m.to_internal(w)[None, :]))
+    return PortfolioReport(E=expected, sigma=sigma, var_alpha=-expected + m.risk.a * sigma,
                            rho=rho, covar=value)
 
 

@@ -5,7 +5,7 @@ import math
 import os
 import subprocess
 import sys
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
@@ -242,10 +242,12 @@ def test_console_entry_point(scenario_dir):
                   "--format", "csv"]),
     ("example3", ["frontier", "--E-min", "3", "--E-max", "1", "--steps", "3",
                   "--mode", "sigma"]),
+    ("example2", ["validate", "--weights", "nan,0.5,0.5"]),
 ])
 def test_bad_numbers_exit_two(scenario_dir, name, argv):
-    """Non-finite targets, a negative seed and a descending return range are
-    input errors: exit 2 with one error line, never a traceback."""
+    """Non-finite targets and weights, a negative seed and a descending
+    return range are input errors: exit 2 with one error line, never a
+    traceback."""
     env = dict(os.environ)
     src = str(scenario_dir.parents[0] / "src")
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
@@ -272,3 +274,64 @@ def test_non_finite_scenario_target_exit_two(scenario_dir, tmp_path):
     assert code == 2
     assert "targets.E" in err.getvalue()
     assert out == ""
+
+
+def _run_edited(scenario_dir, tmp_path, name, edit, argv):
+    """Run the CLI on a copy of a fixture scenario changed by ``edit``;
+    returns (exit code, stdout, stderr)."""
+    raw = json.loads((scenario_dir / f"{name}.json").read_text())
+    edit(raw)
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(raw))
+    err = io.StringIO()
+    with redirect_stderr(err):
+        code, out = run_cli([argv[0], "--scenario", str(path), *argv[1:]])
+    return code, out, err.getvalue()
+
+
+@pytest.mark.parametrize("steps", ["many", 2.7, True, 0, math.inf])
+def test_bad_scenario_steps_exit_two(scenario_dir, tmp_path, steps):
+    def edit(raw):
+        raw["targets"]["steps"] = steps
+
+    code, out, err = _run_edited(scenario_dir, tmp_path, "example3", edit,
+                                 ["frontier", "--format", "csv"])
+    assert code == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: targets.steps")
+
+
+def test_integral_float_scenario_steps(scenario_dir, tmp_path):
+    def edit(raw):
+        raw["targets"]["steps"] = 3.0
+
+    code, out, _ = _run_edited(scenario_dir, tmp_path, "example3", edit,
+                               ["frontier", "--format", "csv"])
+    assert code == 0
+    assert len(out.splitlines()) == 4
+
+
+def test_validate_quantile_beyond_sample_exit_two(scenario_dir, tmp_path):
+    def edit(raw):
+        raw["risk"] = {"a": 1.0, "b": 8.0}
+
+    code, out, err = _run_edited(scenario_dir, tmp_path, "example2", edit,
+                                 ["validate", "--weights", "0.2,0.5,0.3"])
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def test_import_loads_no_scipy(scenario_dir):
+    """scipy is a test extra; importing the package must not load it, since
+    every CLI call pays for what the import loads."""
+    env = dict(os.environ)
+    src = str(scenario_dir.parents[0] / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, covarsel; "
+         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,11 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from covarsel import (EfficiencyClass, LemmaParams, PreconditionViolated,
-                      ReducedModel, RiskParams, SolveStatus, covar_portfolio,
-                      covar_raw, classify_efficiency, frontier, lemma_minimize,
-                      markowitz_critical, solve_critical, validate_model,
-                      MarketModel)
+from covarsel import (EfficiencyClass, LemmaParams, NumericalBreakdown,
+                      PreconditionViolated, ReducedModel, RiskParams, SolveStatus,
+                      covar_portfolio, covar_raw, classify_efficiency, frontier,
+                      lemma_minimize, markowitz_critical, merton_scalars,
+                      minimum_variance_efficient, point_is_efficient,
+                      solve_critical, validate_model, MarketModel)
+from covarsel.closedform import _recheck, _unique_critical
 from helpers import covar_value_raw, golden_section, random_model, random_model_delta
 
 
@@ -227,7 +230,8 @@ def _reduced_stub(a, b, alpha_c, beta_c, gamma_c):
                         mu_hat=np.zeros(1), q_hat=np.zeros(1),
                         alpha_C=alpha_c, beta_C=beta_c, gamma_C=gamma_c,
                         detG=det_g, Delta=b * b * alpha_c - a * a * det_g,
-                        independent=True, a=a, b=b, qhat_chol=filler)
+                        independent=True, a=a, b=b,
+                        qinv_mu=np.zeros(1), qinv_qh=np.zeros(1))
 
 
 class TestClassifyEfficiency:
@@ -437,6 +441,26 @@ class TestFrontier:
             _, ref = golden_section(fun, -20.0, 20.0, iters=200)
             assert sol.value == pytest.approx(ref, abs=1e-7)
 
+    @pytest.mark.parametrize("n", [3, 10, 30, 100, 300])
+    def test_points_equal_single_solves(self, n):
+        """The batched frontier is the per-target solve bit for bit, on both
+        sides of E = mu_Y and at E = mu_Y itself, where x = e_Y."""
+        rng = np.random.default_rng(100 + n)
+        for _ in range(2):
+            m, r = random_model_delta(rng, +1, n=n)
+            span = float(np.ptp(m.mu))
+            for lo, hi in ((m.mu1 - span, m.mu1), (m.mu1, m.mu1 + span)):
+                pts = frontier(m, r, lo, hi, 101)
+                assert m.mu1 in (pts[0].E, pts[-1].E)
+                for p in pts:
+                    sol = solve_critical(m, r, p.E)
+                    assert np.array_equal(p.weights, sol.x)
+                    assert p.value == sol.value
+                    assert p.efficient is point_is_efficient(sol.efficiency_class, sol.E_hat)
+            e_y = np.zeros(n)
+            e_y[int(m.perm[0])] = 1.0
+            assert np.array_equal(frontier(m, r, m.mu1, m.mu1 + span, 101)[0].weights, e_y)
+
     def test_delta_negative_raises(self, example1):
         m, r = example1
         with pytest.raises(PreconditionViolated):
@@ -455,3 +479,39 @@ class TestFrontier:
         r = reduce_model(m)
         pts = frontier(m, r, 1.5, 3.0, 7)
         assert all(p.status == SolveStatus.MARKOWITZ_FALLBACK.value for p in pts)
+        _, beta_m, gamma_m = merton_scalars(m)
+        for p in pts:
+            sol = solve_critical(m, r, p.E)
+            assert np.array_equal(p.weights, sol.x)
+            assert p.value == pytest.approx(sol.value, rel=1e-12, abs=1e-12)
+            assert p.efficient is bool(minimum_variance_efficient(p.E, beta_m / gamma_m))
+
+
+class TestBatchedRecheck:
+    """Every row of a batch is checked, and a NaN fails the check."""
+
+    @pytest.mark.parametrize("field", ["Q", "qinv_mu"])
+    def test_corrupted_reduced_model(self, field):
+        # A scaled Q moves the re-evaluated values off the closed form; a
+        # scaled Qhat^-1 mu_hat moves the rows off the return constraint.
+        m, r = random_model_delta(np.random.default_rng(51), +1, n=10)
+        bad = dataclasses.replace(r, **{field: getattr(r, field) * 1.001})
+        with pytest.raises(NumericalBreakdown):
+            frontier(m, bad, m.mu1 - 1.0, m.mu1 + 1.0, 101)
+        with pytest.raises(NumericalBreakdown):
+            solve_critical(m, bad, m.mu1 + 1.0)
+
+    @pytest.mark.parametrize("where", ["value", "weight"])
+    def test_nan_row_fails(self, where):
+        m, r = random_model_delta(np.random.default_rng(52), +1, n=10)
+        e_hat = np.linspace(-1.0, 1.0, 101)
+        x_int, values = _unique_critical(m, r, e_hat)
+        x_hat = x_int[:, 1:].copy()
+        _recheck(m, r, e_hat, x_hat, values)
+        if where == "value":
+            values = values.copy()
+            values[37] = math.nan
+        else:
+            x_hat[37, 2] = math.nan
+        with pytest.raises(NumericalBreakdown):
+            _recheck(m, r, e_hat, x_hat, values)

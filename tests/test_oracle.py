@@ -91,6 +91,17 @@ class TestMcCovar:
                      McConfig(samples=10_000, seed=0, band_epsilon=1e-8))
 
 
+    def test_quantile_beyond_the_sample(self, example2):
+        # b = 8 puts the beta-quantile at Phi(-8) ~ 6e-16: no draw of 1e6 is
+        # beyond it, so the order statistic would be meaningless.
+        m, _ = example2
+        m8 = validate_model(MarketModel(mu=m.to_original(m.mu),
+                                        sigma=m.sigma[np.ix_(m.inv_perm, m.inv_perm)],
+                                        conditioning_asset=1, risk=RiskParams(a=1.0, b=8.0)))
+        with pytest.raises(TooFewBandSamples):
+            mc_covar(m8, np.array([0.2, 0.5, 0.3]), McConfig(samples=1_000_000))
+
+
 class TestGridMinimize:
     def test_example1_slice_boundary_minimum(self, example1):
         m, r = example1
