@@ -12,7 +12,7 @@ everything independently.
 from .closedform import (CriticalSolution, EfficiencyClass, FrontierPoint,
                          LemmaOutcome, LemmaParams, SolveStatus,
                          classify_efficiency, frontier, lemma_minimize,
-                         markowitz_critical, markowitz_frontier, merton_scalars,
+                         markowitz_critical, markowitz_frontier,
                          minimum_variance_efficient, point_is_efficient,
                          solvability_status, solve_critical)
 from .constrained import (ConstrainedProblem, ConstrainedSolution, Simplex,
@@ -27,8 +27,7 @@ from .model import (MarketModel, Portfolio, RiskParams, ValidatedModel,
                     normal_quantile, standard_normal_cdf, validate_model)
 from .oracle import (Hyperplane, HyperplaneSlice, McConfig, McEstimate,
                      grid_minimize, mc_covar)
-from .reduction import (ReducedModel, check_independence, gramian_scalars,
-                        reduce_model)
+from .reduction import ReducedModel, gramian_scalars, reduce_model
 from .riskmeasures import (PortfolioReport, covar_bivariate, covar_portfolio,
                            covar_raw, sigma_and_var)
 

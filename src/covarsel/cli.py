@@ -21,7 +21,7 @@ import sys
 import numpy as np
 
 from .closedform import (FrontierPoint, SolveStatus, classify_efficiency, frontier,
-                         markowitz_frontier, merton_scalars, minimum_variance_efficient,
+                         markowitz_frontier, minimum_variance_efficient,
                          point_is_efficient, solvability_status, solve_critical,
                          target_grid)
 from .constrained import ConstrainedProblem, minimize_constrained
@@ -212,11 +212,10 @@ def cmd_describe(scenario: Scenario, fmt: str, out) -> int:
         "independent": r.independent,
     }
     status = solvability_status(r)
-    record["status"] = status.value
-    record["efficiency_class"] = (classify_efficiency(r).value
-                                  if status is SolveStatus.UNIQUE else None)
     degenerate = status in (SolveStatus.UNBOUNDED_BELOW,
                             SolveStatus.INFIMUM_NOT_ATTAINED)
+    record["status"] = status.value
+    record["efficiency_class"] = None if degenerate else classify_efficiency(r).value
     if fmt == "text":
         print(f"scenario {scenario.name}: n={m.n}, "
               f"conditioning asset {record['conditioning_asset']}, "
@@ -238,18 +237,10 @@ def cmd_describe(scenario: Scenario, fmt: str, out) -> int:
 def cmd_solve(scenario: Scenario, target: float, fmt: str, out) -> int:
     m, r = scenario.model, scenario.reduced
     sol = solve_critical(m, r, target)
-    if sol.status is SolveStatus.UNIQUE:
+    if sol.x is not None:
         point = FrontierPoint(E=target, value=sol.value, weights=sol.x,
                               efficient=point_is_efficient(sol.efficiency_class,
                                                            sol.E_hat),
-                              status=sol.status.value)
-        _emit_points([point], m.n, fmt if fmt != "text" else "csv", out)
-        return EXIT_OK
-    if sol.status is SolveStatus.MARKOWITZ_FALLBACK:
-        _, beta_m, gamma_m = merton_scalars(m)
-        point = FrontierPoint(E=target, value=sol.value, weights=sol.x,
-                              efficient=bool(minimum_variance_efficient(target,
-                                                                        beta_m / gamma_m)),
                               status=sol.status.value)
         _emit_points([point], m.n, fmt if fmt != "text" else "csv", out)
         return EXIT_OK

@@ -1,10 +1,10 @@
 """Closed-form critical set, solvability diagnosis and efficiency classes.
 
-For a target return E write ``E_hat = E - mu1``.  When the ones vector, mu and
-q are linearly independent, the equality-constrained minimization of the
-conditional risk measure reduces to a one-dimensional convex problem of the
-form ``F(t) = s t + sqrt((t - p)^2 + q)`` (see ``lemma_minimize``), and the
-sign of ``Delta = b^2 alpha_C - a^2 detG`` separates three regimes:
+For a target return E write ``E_hat = E - mu1``.  The equality-constrained
+minimization of the conditional risk measure reduces to a one-dimensional
+convex problem of the form ``F(t) = s t + sqrt((t - p)^2 + q)`` (see
+``lemma_minimize``), and the sign of ``Delta = b^2 alpha_C - a^2 detG``
+separates three regimes:
 
 * ``Delta > 0``   unique minimizer per target return,
       x_hat(E_hat) = E_hat/alpha_C Qhat^-1 mu_hat
@@ -22,9 +22,14 @@ one-row case of the same kernel.
 
 In the degenerate regimes the solver returns an explicit feasible ray along
 which the objective decreases (to the infimum, or without bound), so the
-diagnosis can be verified by direct evaluation.  When the independence
-assumption fails, the critical set coincides with the classical
-minimum-variance one and the solver falls back to the Merton formula.
+diagnosis can be verified by direct evaluation.
+
+When the ones vector, mu and q are linearly dependent, ``q_hat`` is parallel
+to ``mu_hat`` in the ``Qhat^-1`` inner product, so ``beta_C mu_hat - alpha_C
+q_hat = 0`` and ``Delta = b^2 alpha_C > 0``.  The same formula then gives the
+classical minimum-variance portfolio, and the solve only changes its status
+label to ``MarkowitzFallback``.  ``markowitz_frontier`` (Merton's formula)
+remains for the volatility and value-at-risk frontiers.
 """
 
 from __future__ import annotations
@@ -39,7 +44,7 @@ from .errors import DomainError, NumericalBreakdown, PreconditionViolated
 from .linalg import cholesky_spd, solve_cholesky
 from .model import ValidatedModel
 from .reduction import ReducedModel
-from .riskmeasures import _covar_rows, _first, covar_portfolio
+from .riskmeasures import _covar_rows, _first
 
 DELTA_RTOL = 1e-12
 CHECK_RTOL = 1e-9
@@ -136,12 +141,11 @@ def _delta_regime(r: ReducedModel) -> int:
 
 
 def solvability_status(r: ReducedModel) -> SolveStatus:
-    """Regime a per-target solve of this model will report."""
-    if not r.independent:
-        return SolveStatus.MARKOWITZ_FALLBACK
+    """Regime a per-target solve of this model will report.  A Delta > 0
+    model with dependent (1, mu, q) is labelled MarkowitzFallback."""
     regime = _delta_regime(r)
     if regime == 1:
-        return SolveStatus.UNIQUE
+        return SolveStatus.UNIQUE if r.independent else SolveStatus.MARKOWITZ_FALLBACK
     if regime == 0:
         return SolveStatus.INFIMUM_NOT_ATTAINED
     return SolveStatus.UNBOUNDED_BELOW
@@ -165,21 +169,6 @@ def classify_efficiency(r: ReducedModel) -> EfficiencyClass:
     return EfficiencyClass.ALL_EFFICIENT
 
 
-def _merton(m: ValidatedModel):
-    """``S^-1 mu``, ``S^-1 1`` and the scalars (mu'S^-1 mu, mu'S^-1 1, 1'S^-1 1),
-    from one factorization of sigma."""
-    low = cholesky_spd(m.sigma)
-    si_mu = solve_cholesky(low, m.mu)
-    si_one = solve_cholesky(low, np.ones(m.n))
-    return si_mu, si_one, (float(m.mu @ si_mu), float(m.mu @ si_one),
-                           float(np.ones(m.n) @ si_one))
-
-
-def merton_scalars(m: ValidatedModel) -> tuple[float, float, float]:
-    """The classical scalars mu'S^-1 mu, mu'S^-1 1, 1'S^-1 1."""
-    return _merton(m)[2]
-
-
 def minimum_variance_efficient(E, gmv: float):
     """Classical efficiency rule: a minimum-variance portfolio is efficient at
     or above the global minimum-variance return ``gmv = beta_m / gamma_m``.
@@ -196,7 +185,11 @@ def markowitz_frontier(m: ValidatedModel, targets) -> tuple[np.ndarray, float]:
     equality constraints are verified row by row to CONSTRAINT_TOL.
     """
     targets = np.asarray(targets, dtype=float)
-    si_mu, si_one, (alpha_m, beta_m, gamma_m) = _merton(m)
+    low = cholesky_spd(m.sigma)
+    ones = np.ones(m.n)
+    si_mu = solve_cholesky(low, m.mu)
+    si_one = solve_cholesky(low, ones)
+    alpha_m, beta_m, gamma_m = float(m.mu @ si_mu), float(m.mu @ si_one), float(ones @ si_one)
     denom = alpha_m * gamma_m - beta_m * beta_m
     if denom <= 0.0:
         raise NumericalBreakdown("minimum-variance scalars lost strict positivity")
@@ -278,19 +271,13 @@ def _ray(m: ValidatedModel, r: ReducedModel, e_hat: float):
 def solve_critical(m: ValidatedModel, r: ReducedModel, E: float) -> CriticalSolution:
     """Solve the equality-constrained problem at target return E.
 
-    Dispatches on the independence flag and the sign of Delta; a Delta <= 0
-    outcome is a reported regime, not an error.  Unique solutions are
-    cross-checked by re-evaluating the risk measure at the returned weights.
+    Dispatches on the sign of Delta; a Delta <= 0 outcome is a reported
+    regime, not an error.  Every Delta > 0 model, dependent or not, takes the
+    closed form, cross-checked by re-evaluating the risk measure at the
+    returned weights; the status is ``solvability_status``.
     """
     e_hat = float(E) - m.mu1
     a = m.risk.a
-
-    if not r.independent:
-        x = markowitz_critical(m, E)
-        value = covar_portfolio(m, r, x).covar
-        return CriticalSolution(E_hat=e_hat, x=x, value=value,
-                                status=SolveStatus.MARKOWITZ_FALLBACK,
-                                efficiency_class=None)
 
     regime = _delta_regime(r)
     if regime == 1:
@@ -303,7 +290,7 @@ def solve_critical(m: ValidatedModel, r: ReducedModel, E: float) -> CriticalSolu
             lam1 = e_hat / r.alpha_C + abs(e_hat) * a * r.beta_C / (r.alpha_C * root)
             lam2 = -abs(e_hat) * a / root
         return CriticalSolution(E_hat=e_hat, x=m.to_original(x_int[0]),
-                                value=float(values[0]), status=SolveStatus.UNIQUE,
+                                value=float(values[0]), status=solvability_status(r),
                                 efficiency_class=classify_efficiency(r),
                                 t_hat=t_hat, lambda1=lam1, lambda2=lam2)
 
@@ -356,30 +343,21 @@ def frontier(m: ValidatedModel, r: ReducedModel, e_min: float, e_max: float,
              steps: int) -> list[FrontierPoint]:
     """Sample the optimal value across a uniform target-return grid.
 
-    Requires the unique-solution regime (Delta > 0); with dependent vectors
-    the fallback critical set is sampled instead, flagged per the classical
-    minimum-variance efficiency rule.  The whole grid is solved as one batch
-    and rechecked in one call, with the same per-point checks as
+    Requires Delta > 0, dependent (1, mu, q) included; points are flagged
+    efficient by ``classify_efficiency`` and labelled by
+    ``solvability_status``.  The whole grid is solved as one batch and
+    rechecked in one call, with the same per-point checks as
     ``solve_critical``; each point equals ``solve_critical`` at its target.
     Output is ordered by E.
     """
     grid = target_grid(e_min, e_max, steps)
-
-    if not r.independent:
-        weights, gmv = markowitz_frontier(m, grid)
-        values = _covar_rows(m, r, weights[:, m.perm])[3]
-        flags = minimum_variance_efficient(grid, gmv)
-        status = SolveStatus.MARKOWITZ_FALLBACK
-    else:
-        if _delta_regime(r) != 1:
-            raise PreconditionViolated(
-                f"frontier is defined only for Delta > 0, got Delta={r.Delta!r}")
-        eff = classify_efficiency(r)
-        e_hat = grid - m.mu1
-        x_int, values = _unique_critical(m, r, e_hat)
-        weights = m.to_original(x_int)
-        flags = np.broadcast_to(point_is_efficient(eff, e_hat), grid.shape)
-        status = SolveStatus.UNIQUE
-    label = status.value
+    if _delta_regime(r) != 1:
+        raise PreconditionViolated(
+            f"frontier is defined only for Delta > 0, got Delta={r.Delta!r}")
+    e_hat = grid - m.mu1
+    x_int, values = _unique_critical(m, r, e_hat)
+    weights = m.to_original(x_int)
+    flags = np.broadcast_to(point_is_efficient(classify_efficiency(r), e_hat), grid.shape)
+    label = solvability_status(r).value
     return [FrontierPoint(E=e, value=v, weights=w, efficient=f, status=label)
             for e, v, w, f in zip(grid.tolist(), values.tolist(), weights, flags.tolist())]

@@ -130,7 +130,7 @@ def _slice_seed(mu: np.ndarray, target: float):
 
 
 def _rank(svals: np.ndarray) -> int:
-    return int(np.sum(svals > RANK_RTOL * svals[0]))
+    return int(np.sum(svals > RANK_RTOL * svals[0])) if svals.size else 0
 
 
 def _gradient(c, big_q, b_risk, x):
@@ -182,7 +182,7 @@ def _bound_duals(g, rows, free):
     u, svals, vt = np.linalg.svd(sub)
     rank = _rank(svals)
     lam = u[:, :rank] @ ((vt[:rank] @ g[free]) / svals[:rank])
-    resid = float(np.abs(g[free] - sub.T @ lam).max())
+    resid = float(np.abs(g[free] - sub.T @ lam).max(initial=0.0))
     bound = np.flatnonzero(~free)
     if bound.size == 0:
         return resid, 0.0, ()
@@ -272,10 +272,11 @@ def minimize_constrained(problem: ConstrainedProblem, tol: float = 1e-9) -> Cons
     """Minimize the conditional risk measure over the feasible polytope.
 
     ``tol`` is the relative gap below which ``f(e1)`` and the facet minimum
-    count as a tie.  The returned point is feasible to 1e-10.  Raises
-    InfeasibleSlice for unreachable targets, NoConvergence when the active-set
-    budget runs out and NumericalBreakdown when a face system loses
-    definiteness (ill-conditioned inputs).
+    count as a tie.  The returned point meets the budget to 1e-10 and the
+    target return to 1e-10 max(1, |E|).  Raises InfeasibleSlice for
+    unreachable targets, NoConvergence when the active-set budget runs out or
+    the point misses those tolerances, and NumericalBreakdown when a face
+    system loses definiteness (ill-conditioned inputs).
     """
     m, r = problem.model, problem.reduced
     c = m.risk.a * r.q - m.mu
@@ -300,10 +301,10 @@ def minimize_constrained(problem: ConstrainedProblem, tol: float = 1e-9) -> Cons
         value = _raw_value(m, r, x)
         resid, min_dual = _kkt_at(c, r.Q, b_risk, rows, x)
 
-    feas_err = float(np.abs(rows @ x - rhs).max())
-    if feas_err > 1e-10 * max(1.0, float(np.abs(rhs).max())):
+    defect = np.abs(rows @ x - rhs)
+    if not np.all(defect <= 1e-10 * np.maximum(1.0, np.abs(rhs))):
         raise NoConvergence(
-            f"constrained solve left the feasible set (defect {feas_err:.3e})")
+            f"constrained solve left the feasible set (defects {defect.tolist()!r})")
     x_out = m.to_original(x)
     return ConstrainedSolution(x=x_out, value=value, multiple=multiple,
                                iterations=rounds, kkt_residual=resid,

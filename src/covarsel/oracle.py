@@ -28,6 +28,7 @@ from .errors import DimensionTooLarge, DomainError, TooFewBandSamples
 from .linalg import cholesky_spd
 from .model import ValidatedModel, _as_weights
 from .reduction import ReducedModel
+from .riskmeasures import _raw_rows
 
 BOOTSTRAP_REPS = 256
 MIN_BAND_KEPT = 100
@@ -200,12 +201,6 @@ def grid_minimize(m: ValidatedModel, r: ReducedModel, feasible, resolution: floa
     if not resolution > 0.0:
         raise DomainError("resolution must be positive")
     n = m.n
-    a, b = m.risk.a, m.risk.b
-    mu, q, big_q = m.mu, r.q, r.Q
-
-    def values(points):
-        quad = np.maximum(np.einsum("ij,jk,ik->i", points, big_q, points), 0.0)
-        return -(points @ mu) + a * (points @ q) + b * np.sqrt(quad)
 
     def chunks_from(points):
         for start in range(0, points.shape[0], 1_000_000):
@@ -233,7 +228,8 @@ def grid_minimize(m: ValidatedModel, r: ReducedModel, feasible, resolution: floa
 
     if points.shape[0] == 0:
         raise DomainError("feasible grid is empty")
-    best_x, best_val = _batched_argmin(chunks_from(points), values)
+    best_x, best_val = _batched_argmin(chunks_from(points),
+                                       lambda pts: _raw_rows(m, r, pts)[0])
     return m.to_original(best_x), best_val
 
 

@@ -13,11 +13,16 @@ sign of the discriminant ``Delta = b^2 alpha_C - a^2 detG`` decides whether a
 minimum-risk portfolio exists for a given target return.  The two solves
 behind it, ``Qhat^-1 mu_hat`` and ``Qhat^-1 q_hat``, are kept: every
 closed-form portfolio of the model is a combination of them.
+
+When the ones vector, mu and q are linearly dependent, ``q_hat`` is parallel
+to ``mu_hat`` and ``detG = 0``.  ``ReducedModel.independent`` reports whether
+``detG > DEPENDENCE_RTOL alpha_C gamma_C``; it is a label only, since the
+closed form covers both cases.
 """
 
 from __future__ import annotations
 
-import warnings
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,7 +31,7 @@ from .errors import NumericalBreakdown
 from .linalg import PivotFailure, cholesky_spd, solve_cholesky
 from .model import ValidatedModel
 
-INDEPENDENCE_RTOL = 1e-10
+DEPENDENCE_RTOL = 1e-10
 ZERO_BLOCK_TOL = 1e-12
 
 
@@ -35,6 +40,8 @@ class ReducedModel:
     """Every derived quantity, plus the stress intensities they pair with.
 
     ``qinv_mu = Qhat^-1 mu_hat`` and ``qinv_qh = Qhat^-1 q_hat``.
+    ``independent`` is False when the normalized Gramian determinant
+    ``detG / (alpha_C gamma_C)`` is at most DEPENDENCE_RTOL.
     """
 
     q: np.ndarray
@@ -87,44 +94,13 @@ def _gramian_from_chol(low, mu_hat, q_hat):
     return alpha_c, beta_c, gamma_c, det_g, u, v
 
 
-def check_independence(m: ValidatedModel) -> bool:
-    """True when the ones vector, mu and q span three dimensions.
-
-    Uses the 3x3 Gramian under the standard inner product, normalized by the
-    product of squared norms so the determinant lives in [0, 1]; the cut-off is
-    INDEPENDENCE_RTOL.  Values within a decade of the cut-off trigger a
-    diagnostic warning because the regime decision is then fragile.
-    """
-    n = m.n
-    if n < 3:
-        return False
-    ones = np.ones(n)
-    mu = m.mu
-    q = m.sigma[:, 0] / m.sigma1
-    g11, g12, g13 = n * 1.0, float(ones @ mu), float(ones @ q)
-    g22, g23, g33 = float(mu @ mu), float(mu @ q), float(q @ q)
-    det = (g11 * (g22 * g33 - g23 * g23)
-           - g12 * (g12 * g33 - g23 * g13)
-           + g13 * (g12 * g23 - g22 * g13))
-    scale = g11 * g22 * g33
-    if scale <= 0.0:
-        return False
-    ratio = det / scale
-    if INDEPENDENCE_RTOL / 10.0 < ratio < INDEPENDENCE_RTOL * 10.0:
-        warnings.warn(
-            f"vectors (1, mu, q) are near the independence threshold "
-            f"(normalized Gramian determinant {ratio:.3e})",
-            RuntimeWarning, stacklevel=2)
-    return ratio > INDEPENDENCE_RTOL
-
-
 def reduce_model(m: ValidatedModel) -> ReducedModel:
     """Compute q, Q, Qhat, the reduced vectors and all Gramian scalars.
 
     Asserts the structural invariants on the way: the first row and column of
     Q vanish, Qhat passes a tolerant Cholesky (raising NumericalBreakdown on a
-    near-singular covariance), and the Gramian diagonal is positive whenever
-    the independence flag is set.
+    near-singular covariance), and alpha_C is positive with every scalar
+    finite (raising NumericalBreakdown on overflow).
     """
     sigma1 = m.sigma1
     q = m.sigma[:, 0] / sigma1
@@ -146,15 +122,16 @@ def reduce_model(m: ValidatedModel) -> ReducedModel:
     mu_hat = m.mu[1:] - m.mu[0]
     q_hat = q[1:] - q[0]
     alpha_c, beta_c, gamma_c, det_g, u, v = _gramian_from_chol(low, mu_hat, q_hat)
-    independent = check_independence(m)
-    if independent and (alpha_c <= 0.0 or gamma_c <= 0.0 or det_g <= 0.0):
-        raise NumericalBreakdown(
-            "Gramian of independent vectors must be positive definite, got "
-            f"alpha_C={alpha_c:.3e} gamma_C={gamma_c:.3e} detG={det_g:.3e}")
-
     a, b = m.risk.a, m.risk.b
     delta = b * b * alpha_c - a * a * det_g
+    if not (alpha_c > 0.0 and all(map(math.isfinite, (alpha_c, beta_c, gamma_c,
+                                                        det_g, delta)))):
+        raise NumericalBreakdown(
+            "Gramian scalars must be finite with alpha_C > 0, got "
+            f"alpha_C={alpha_c!r} beta_C={beta_c!r} gamma_C={gamma_c!r} "
+            f"detG={det_g!r} Delta={delta!r}")
     return ReducedModel(q=q, Q=big_q, Qhat=qhat, mu_hat=mu_hat, q_hat=q_hat,
                         alpha_C=alpha_c, beta_C=beta_c, gamma_C=gamma_c,
-                        detG=det_g, Delta=delta, independent=independent,
+                        detG=det_g, Delta=delta,
+                        independent=det_g > DEPENDENCE_RTOL * alpha_c * gamma_c,
                         a=a, b=b, qinv_mu=u, qinv_qh=v)

@@ -43,6 +43,37 @@ def random_model_delta(rng, sign, n=None, factor=1.4):
             return m2, r2
 
 
+def near_dependent_model(rng, n, eps, c0=0.5, c1=0.2):
+    """Market with ``q = c0 + c1 mu + eps * noise``, rescaled so that
+    q_Y = sigma_Y; eps = 0 makes (1, mu, q) exactly dependent.
+
+    The conditioning asset is the first, so internal and caller order agree.
+    ``Sigma = [[s^2, s q_r'], [s q_r, Qhat + q_r q_r']]`` is positive definite
+    for a positive definite Qhat, and ``Q = Sigma - q q' = diag(0, Qhat)``,
+    which is returned with the pair as an oracle independent of
+    ``reduce_model``.
+    """
+    while True:
+        mu = rng.normal(size=n)
+        q = c0 + c1 * mu + eps * rng.normal(size=n)
+        if abs(q[0]) > 0.1 and np.ptp(mu) > 1e-3:
+            break
+    s = float(rng.uniform(0.5, 2.0))
+    q = q * (s / q[0])
+    mat = rng.normal(size=(n - 1, n - 1))
+    qhat = mat @ mat.T + 0.5 * np.eye(n - 1)
+    sigma = np.empty((n, n))
+    sigma[0, 0] = s * s
+    sigma[0, 1:] = sigma[1:, 0] = s * q[1:]
+    sigma[1:, 1:] = qhat + np.outer(q[1:], q[1:])
+    big_q = np.zeros((n, n))
+    big_q[1:, 1:] = qhat
+    m = validate_model(MarketModel(mu=mu, sigma=sigma, conditioning_asset=1,
+                                   risk=RiskParams(a=float(rng.uniform(0.3, 2.5)),
+                                                   b=float(rng.uniform(0.3, 2.5)))))
+    return m, reduce_model(m), q, big_q
+
+
 def covar_value_raw(m, r, x_internal):
     """Objective value in internal coordinates, no route cross-check."""
     quad = max(float(x_internal @ r.Q @ x_internal), 0.0)

@@ -9,6 +9,8 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from covarsel.cli import main
 
@@ -335,3 +337,134 @@ def test_import_loads_no_scipy(scenario_dir):
         capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+# The input overflows on purpose; numpy's overflow warnings are not the
+# subject here, the exit code is.
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("argv", [
+    ["describe"],
+    ["solve", "--E", "1"],
+    ["frontier", "--E-min", "1", "--E-max", "3", "--steps", "5"],
+])
+def test_overflowing_market_exit_three(scenario_dir, tmp_path, argv):
+    """Returns whose differences overflow make the Gramian scalars infinite:
+    a numeric failure (exit 3), not a diagnosed regime or a fallback label."""
+    def edit(raw):
+        raw["mu"] = [1e308, -1e308, 1]
+
+    code, out, err = _run_edited(scenario_dir, tmp_path, "example2", edit,
+                                 [*argv, "--format", "json"])
+    assert code == 3
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("mu,target", [([-5e39, -9.6], -3e8), ([-1e20, 1.0], -6.7e16)])
+def test_constrained_badly_scaled_returns(tmp_path, mu, target):
+    """Returns many orders of magnitude apart: the answer is a point of the
+    slice (budget to 1e-10, return to 1e-10 max(1, |E|)) or exit 3, never a
+    traceback or an infeasible point at exit 0."""
+    path = tmp_path / "scaled.json"
+    path.write_text(json.dumps({
+        "mu": mu, "sigma": [[8.65, 0.65], [0.65, 0.86]], "conditioning_asset": 2,
+        "risk": {"a": 1, "b": 1}, "constraints": {"non_negative": True}}))
+    err = io.StringIO()
+    with redirect_stderr(err):
+        code, out = run_cli(["constrained", "--scenario", str(path), f"--E={target!r}",
+                             "--format", "json"])
+    assert code in (0, 3)
+    if code == 3:
+        assert len(err.getvalue().splitlines()) == 1 and err.getvalue().startswith("error: ")
+        return
+    record = json.loads(out)
+    w = np.array([record["w1"], record["w2"]])
+    assert abs(w.sum() - 1.0) <= 1e-10
+    assert abs(w @ np.array(mu) - target) <= 1e-10 * max(1.0, abs(target))
+
+
+_SPECIAL = [0.0, 1e-300, 1e300, -1e300, 1e308, -1e308, math.inf, -math.inf, math.nan]
+
+
+@st.composite
+def _fuzz_case(draw):
+    """A scenario (n = 2 to 5) and one CLI call on it.  Numbers are mostly
+    moderate; now and then one is scaled by up to 1e40 or replaced by a huge,
+    tiny or non-finite value.  Some markets have a first covariance column
+    forced into span(1, mu), which makes (1, mu, q) dependent."""
+    def rare(p_in_8):
+        return draw(st.integers(0, 7)) >= 8 - p_in_8
+
+    def spoil(x):
+        if rare(2):
+            x = x * 10.0 ** draw(st.integers(1, 40))
+        if rare(1):
+            x = draw(st.sampled_from(_SPECIAL))
+        return float(x)
+
+    n = draw(st.integers(2, 5))
+    with np.errstate(all="ignore"):
+        mu = np.array([draw(st.floats(-10.0, 10.0)) for _ in range(n)])
+        k = draw(st.integers(0, n - 1))
+        mu[k] = spoil(mu[k])
+        root = np.array([[draw(st.floats(-3.0, 3.0)) for _ in range(n)] for _ in range(n)])
+        sigma = root @ root.T + draw(st.floats(0.01, 2.0)) * np.eye(n)
+        cond = draw(st.integers(1, n))
+        if rare(3):
+            # Sigma = [[s^2, s q_r'], [s q_r, Qhat + q_r q_r']] with
+            # q = c0 + c1 mu scaled to q_0 = s: positive definite with Qhat.
+            q = draw(st.floats(-2.0, 2.0)) + draw(st.floats(-2.0, 2.0)) * mu
+            s = draw(st.floats(0.1, 3.0))
+            q = q * (s / q[0]) if q[0] != 0.0 else q
+            sigma[0, 0] = s * s
+            sigma[0, 1:] = sigma[1:, 0] = s * q[1:]
+            sigma[1:, 1:] += np.outer(q[1:], q[1:])
+            cond = 1
+        if rare(1):
+            i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+            sigma[i, j] = sigma[j, i] = spoil(sigma[i, j])
+        lo, hi = float(np.min(mu)), float(np.max(mu))
+        # A target inside or near [min mu, max mu], or a moderate one that
+        # sits near a moderate return when another return is huge.
+        e, e_lo, e_hi = sorted(
+            spoil(lo + draw(st.floats(-0.2, 1.2)) * (hi - lo) if rare(4)
+                  else draw(st.floats(-10.0, 10.0)))
+            for _ in range(3))
+    raw = {"mu": mu.tolist(), "sigma": sigma.tolist(), "conditioning_asset": cond,
+           "risk": {"a": spoil(draw(st.floats(0.05, 3.0))),
+                    "b": spoil(draw(st.floats(0.05, 3.0)))},
+           "constraints": {"non_negative": draw(st.booleans())}}
+    argv = draw(st.sampled_from([
+        ["describe"],
+        ["solve", f"--E={e!r}"],
+        ["frontier", f"--E-min={e_lo!r}", f"--E-max={e_hi!r}",
+         f"--steps={draw(st.integers(1, 9))}"],
+        ["frontier", f"--E-min={e_lo!r}", f"--E-max={e_hi!r}", "--steps=5", "--mode=sigma"],
+        ["constrained", "--non-negative", f"--E={e!r}"],
+        ["constrained", "--non-negative", "--no-target"],
+        ["validate", "--samples=10000", f"--seed={draw(st.integers(0, 9))}"],
+    ]))
+    return raw, argv
+
+
+# Huge and non-finite inputs overflow on purpose; the contract under test is
+# the exit code, which numpy's overflow warnings do not change.
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=300, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=_fuzz_case())
+@example(case=({"mu": [-5e39, -9.6], "sigma": [[8.65, 0.65], [0.65, 0.86]],
+                "conditioning_asset": 2, "risk": {"a": 1.0, "b": 1.0}},
+               ["constrained", "--non-negative", "--E=-3e8"]))
+def test_exit_code_contract_fuzz(tmp_path, case):
+    """Every scenario ends in a documented exit code without an escaping
+    exception, and exit 1 only reports a degenerate regime."""
+    raw, argv = case
+    path = tmp_path / "fuzz.json"
+    path.write_text(json.dumps(raw))
+    err = io.StringIO()
+    with redirect_stderr(err):
+        code, out = run_cli([argv[0], "--scenario", str(path), *argv[1:], "--format", "json"])
+    assert code in (0, 1, 2, 3)
+    if code == 1:
+        assert json.loads(out)["status"] in ("UnboundedBelow", "InfimumNotAttained")

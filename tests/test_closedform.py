@@ -9,11 +9,12 @@ from hypothesis import strategies as st
 from covarsel import (EfficiencyClass, LemmaParams, NumericalBreakdown,
                       PreconditionViolated, ReducedModel, RiskParams, SolveStatus,
                       covar_portfolio, covar_raw, classify_efficiency, frontier,
-                      lemma_minimize, markowitz_critical, merton_scalars,
-                      minimum_variance_efficient, point_is_efficient,
+                      lemma_minimize, markowitz_critical, markowitz_frontier,
+                      point_is_efficient,
                       solve_critical, validate_model, MarketModel)
 from covarsel.closedform import _recheck, _unique_critical
-from helpers import covar_value_raw, golden_section, random_model, random_model_delta
+from helpers import (covar_value_raw, golden_section, near_dependent_model, random_model,
+                     random_model_delta)
 
 
 def lemma_f(s, p, q):
@@ -479,12 +480,97 @@ class TestFrontier:
         r = reduce_model(m)
         pts = frontier(m, r, 1.5, 3.0, 7)
         assert all(p.status == SolveStatus.MARKOWITZ_FALLBACK.value for p in pts)
-        _, beta_m, gamma_m = merton_scalars(m)
         for p in pts:
             sol = solve_critical(m, r, p.E)
             assert np.array_equal(p.weights, sol.x)
             assert p.value == pytest.approx(sol.value, rel=1e-12, abs=1e-12)
-            assert p.efficient is bool(minimum_variance_efficient(p.E, beta_m / gamma_m))
+            assert p.efficient is point_is_efficient(sol.efficiency_class, sol.E_hat)
+
+
+class TestDependentMarkets:
+    """Markets with q = c0 + c1 mu + eps * noise: dependent (1, mu, q) at
+    eps = 0, near-dependent for small eps.  One closed form serves them all;
+    the MarkowitzFallback status is a label only."""
+
+    FEAS_TOL = 1e-12
+
+    @staticmethod
+    def _slsqp(m, q, big_q, target, starts, feas_tol):
+        """Best SLSQP value on the slice over the starts, counting only
+        results that meet both constraints to ``feas_tol``; None if none do."""
+        from scipy.optimize import minimize
+
+        a, b = m.risk.a, m.risk.b
+
+        def f(x):
+            return -(x @ m.mu) + a * (x @ q) + b * math.sqrt(max(float(x @ big_q @ x), 0.0))
+
+        def grad(x):
+            qx = big_q @ x
+            root = math.sqrt(max(float(x @ qx), 0.0))
+            # At e_Y the root has no gradient; 0 is a subgradient there.
+            return -m.mu + a * q + (b * qx / root if root > 0.0 else 0.0)
+
+        cons = [{"type": "eq", "fun": lambda x: x.sum() - 1.0},
+                {"type": "eq", "fun": lambda x: x @ m.mu - target}]
+        best = None
+        for x0 in starts:
+            x = minimize(f, x0, jac=grad, method="SLSQP", constraints=cons,
+                         options={"ftol": 1e-15, "maxiter": 500}).x
+            if max(abs(x.sum() - 1.0), abs(x @ m.mu - target)) > feas_tol:
+                continue
+            best = f(x) if best is None else min(best, f(x))
+        return best
+
+    @pytest.mark.parametrize("eps", [1e-8, 1e-6])
+    def test_never_above_slsqp_near_dependence(self, eps):
+        rng = np.random.default_rng(70)
+        checked = 0
+        for _ in range(40):
+            m, r, q, big_q = near_dependent_model(rng, int(rng.integers(3, 8)), eps)
+            target = float(m.mu.max())
+            sol = solve_critical(m, r, target)
+            ref = self._slsqp(m, q, big_q, target, [np.full(m.n, 1.0 / m.n), sol.x],
+                              self.FEAS_TOL * max(1.0, abs(target)))
+            if ref is None:
+                continue
+            checked += 1
+            assert sol.value <= ref + 1e-9 * max(1.0, abs(ref))
+        assert checked >= 30
+
+    def test_efficiency_flags_are_covar_dominance(self):
+        """On exactly dependent markets a frontier point is flagged efficient
+        iff no higher-return grid point has a value at most its own.  The
+        grid holds the kink at E = mu_Y, so it sees every dominating point."""
+        rng = np.random.default_rng(71)
+        classes = set()
+        for _ in range(50):
+            m, r, _, _ = near_dependent_model(rng, int(rng.integers(3, 8)), 0.0,
+                                              c0=0.5, c1=float(rng.uniform(-3.0, 3.0)))
+            span = float(np.ptp(m.mu))
+            pts = frontier(m, r, m.mu1 - span, m.mu1 + span, 41)
+            assert all(p.status == SolveStatus.MARKOWITZ_FALLBACK.value for p in pts)
+            values = np.array([p.value for p in pts])
+            for k, p in enumerate(pts[:-1]):
+                assert p.efficient is not bool(np.any(values[k + 1:] <= p.value))
+            classes.add(classify_efficiency(r))
+        assert classes == set(EfficiencyClass)
+
+    def test_closed_form_is_markowitz_at_exact_dependence(self):
+        """At eps = 0 the closed form is the minimum-variance portfolio, the
+        status stays MarkowitzFallback and the efficiency class is set."""
+        rng = np.random.default_rng(72)
+        for _ in range(50):
+            m, r, _, _ = near_dependent_model(rng, int(rng.integers(3, 8)), 0.0)
+            assert not r.independent
+            span = float(np.ptp(m.mu))
+            pts = frontier(m, r, m.mu1 - span, m.mu1 + span, 41)
+            ref, _ = markowitz_frontier(m, [p.E for p in pts])
+            assert np.max(np.abs(np.array([p.weights for p in pts]) - ref)) <= 1e-12
+            assert all(p.status == SolveStatus.MARKOWITZ_FALLBACK.value for p in pts)
+            sol = solve_critical(m, r, pts[7].E)
+            assert sol.status is SolveStatus.MARKOWITZ_FALLBACK
+            assert sol.efficiency_class is classify_efficiency(r)
 
 
 class TestBatchedRecheck:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from covarsel import (MarketModel, NumericalBreakdown, RiskParams, SolveStatus,
-                      ValidatedModel, check_independence, gramian_scalars,
+                      ValidatedModel, gramian_scalars,
                       reduce_model, solve_critical, validate_model)
 from helpers import random_model
 
@@ -84,7 +84,6 @@ class TestIndependence:
         det = np.linalg.det(np.vstack([ones, mu, q]))
         assert abs(det) > 0.5
         assert r.independent
-        assert check_independence(m)
 
     def test_constructed_linear_combination(self):
         # q = 0.5*mu + 0.5*ones forced through the first covariance column.
@@ -96,15 +95,15 @@ class TestIndependence:
                           [col[2], 0.0, 16.0]])
         m = validate_model(MarketModel(mu=mu, sigma=sigma, conditioning_asset=1,
                                        risk=RiskParams(a=1, b=1)))
-        assert not check_independence(m)
         r = reduce_model(m)
+        assert not r.independent
         sol = solve_critical(m, r, 2.0)
         assert sol.status is SolveStatus.MARKOWITZ_FALLBACK
 
     def test_two_assets_never_independent(self):
         m = validate_model(MarketModel(mu=[1.0, 2.0], sigma=[[1.0, 0.1], [0.1, 2.0]],
                                        conditioning_asset=1, risk=RiskParams(a=1, b=1)))
-        assert not check_independence(m)
+        assert not reduce_model(m).independent
 
 
 class TestStructuralInvariants:
