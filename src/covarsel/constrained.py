@@ -134,8 +134,14 @@ def _rank(svals: np.ndarray) -> int:
 
 
 def _gradient(c, big_q, b_risk, x):
+    """Gradient of ``f`` at ``x``.  Where ``x'Qx < QUAD_FLOOR`` (``x`` on the
+    ray of ``e1``) the square-root term has none, and its zero subgradient is
+    taken."""
     qx = big_q @ x
-    return c + b_risk * qx / math.sqrt(float(x @ qx))
+    quad = float(x @ qx)
+    if quad < QUAD_FLOOR:
+        return c
+    return c + b_risk * qx / math.sqrt(quad)
 
 
 def _face_step(cf, qf, b_risk, null, y0):

@@ -10,8 +10,11 @@ produced per call:
   conditioning is done analytically) and negate the empirical beta-quantile;
 * band: draw joint returns with the covariance Cholesky factor, retain draws
   with the conditioning asset inside a band around the stress level, and take
-  the same empirical quantile. Kept for diagnostics since it carries
-  discretization bias.
+  the same empirical quantile.  The conditioning asset sits first and the
+  factor is lower triangular, so its return depends on the first standard
+  normal coordinate alone: that coordinate is drawn for every sample, and the
+  other n - 1 only for the samples the band keeps.  Kept for diagnostics
+  since it carries discretization bias.
 
 Randomness comes from a counter-based Philox generator, so results are
 bit-reproducible from the seed alone and independent of chunking.
@@ -83,6 +86,33 @@ def _bootstrap_se(sorted_sample: np.ndarray, rank: int, rng) -> float:
     return float(np.std(sorted_sample[idx], ddof=1))
 
 
+def _band_returns(m: ValidatedModel, xi: np.ndarray, y_star: float, eps: float,
+                  base: np.random.Philox, n_samp: int) -> np.ndarray:
+    """Portfolio returns of the draws whose conditioning-asset return lies
+    within ``eps`` of ``y_star``, in draw order.
+
+    With ``L`` the lower-triangular factor of sigma, returns are
+    ``mu + L z`` and the conditioning asset's is ``mu_Y + L00 z0``.  Each
+    chunk draws ``z0`` for all its samples, masks the band on it, and then
+    draws the other n - 1 coordinates for the kept rows only; the portfolio
+    return of a row is ``mu'x + z'(L'x)``.
+    """
+    low = cholesky_spd(m.sigma)
+    mu_x = float(xi @ m.mu)
+    load = low.T @ xi
+    kept = []
+    # Chunk i reads its own jumped counter stream, z0 first and then the kept
+    # rows' other coordinates, so it is a fixed function of (seed, i): the work
+    # could be fanned out across the chunks without changing a single draw.
+    for chunk, start in enumerate(range(0, n_samp, _BAND_CHUNK)):
+        chunk_rng = np.random.Generator(base.jumped(chunk + 1))
+        z0 = chunk_rng.standard_normal(min(_BAND_CHUNK, n_samp - start))
+        z0 = z0[np.abs(m.mu[0] + low[0, 0] * z0 - y_star) < eps]
+        rest = chunk_rng.standard_normal((z0.shape[0], m.n - 1))
+        kept.append(mu_x + z0 * load[0] + rest @ load[1:])
+    return np.concatenate(kept)
+
+
 def mc_covar(m: ValidatedModel, x, cfg: McConfig) -> McEstimate:
     """Monte-Carlo estimate of the conditional value-at-risk of portfolio x.
 
@@ -126,22 +156,8 @@ def mc_covar(m: ValidatedModel, x, cfg: McConfig) -> McEstimate:
         estimate = -float(draws[rank - 1])
         std_error = _bootstrap_se(draws, rank, rng)
 
-    # Band draws come from per-chunk jumped counter streams: chunk i is a
-    # fixed function of (seed, i), so the work could be fanned out across the
-    # chunks without changing a single draw.
     eps = cfg.band_epsilon if cfg.band_epsilon is not None else 0.05 * sigma_y
-    low = cholesky_spd(m.sigma)
-    kept_chunks = []
-    for chunk, start in enumerate(range(0, n_samp, _BAND_CHUNK)):
-        block = min(_BAND_CHUNK, n_samp - start)
-        chunk_rng = np.random.Generator(base.jumped(chunk + 1))
-        z = chunk_rng.standard_normal((block, m.n))
-        returns = m.mu + z @ low.T
-        y = returns[:, 0]
-        mask = np.abs(y - y_star) < eps
-        if mask.any():
-            kept_chunks.append(returns[mask] @ xi)
-    kept = np.concatenate(kept_chunks) if kept_chunks else np.empty(0)
+    kept = _band_returns(m, xi, y_star, eps, base, n_samp)
     if kept.shape[0] < MIN_BAND_KEPT:
         raise TooFewBandSamples(
             f"band of half-width {eps!r} retained {kept.shape[0]} draws (< {MIN_BAND_KEPT})")

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
@@ -466,5 +467,51 @@ def test_exit_code_contract_fuzz(tmp_path, case):
     with redirect_stderr(err):
         code, out = run_cli([argv[0], "--scenario", str(path), *argv[1:], "--format", "json"])
     assert code in (0, 1, 2, 3)
+    assert "unexpected" not in err.getvalue()
     if code == 1:
         assert json.loads(out)["status"] in ("UnboundedBelow", "InfimumNotAttained")
+
+
+def test_constrained_gradient_on_e1_ray(tmp_path):
+    """A conditioning-asset return of -2.6e20 makes the active-set step land
+    on the ray of e1, where x'Qx = 0 and the square-root term has no
+    gradient.  The only feasible point is (1, 0); the solver returns it or
+    exits 3, without a RuntimeWarning from dividing by zero."""
+    path = tmp_path / "ray.json"
+    path.write_text(json.dumps({
+        "mu": [-0.059613974391862584, -2.6081938409702303e+20],
+        "sigma": [[2.0539900150164434, -0.8016307692645793],
+                  [-0.8016307692645793, 0.9287550998394403]],
+        "conditioning_asset": 2,
+        "risk": {"a": 0.8735753155818098, "b": 1.2599885926162835},
+        "constraints": {"non_negative": True},
+        "targets": {"E": -0.059613974391862584}}))
+    err = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, redirect_stderr(err):
+        warnings.simplefilter("always")
+        code, out = run_cli(["constrained", "--scenario", str(path), "--format", "json"])
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert code in (0, 3)
+    if code == 3:
+        assert len(err.getvalue().splitlines()) == 1 and err.getvalue().startswith("error: ")
+        return
+    record = json.loads(out)
+    assert np.allclose([record["w1"], record["w2"]], [1.0, 0.0], rtol=0.0, atol=1e-10)
+
+
+def test_unexpected_exception_exit_three(scenario_dir, monkeypatch):
+    """An exception covarsel does not raise on purpose still ends in exit 3
+    with one error line, not a traceback."""
+    def broken(problem):
+        raise IndexError("index 0 is out of bounds for axis 0 with size 0")
+
+    monkeypatch.setattr("covarsel.cli.minimize_constrained", broken)
+    err = io.StringIO()
+    with redirect_stderr(err):
+        code, out = run_cli(["constrained", "--scenario", scenario(scenario_dir, "example2")])
+    assert code == 3
+    assert out == ""
+    lines = err.getvalue().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "IndexError" in lines[0]
+    assert "Traceback" not in err.getvalue()

@@ -7,7 +7,33 @@ from covarsel import (DimensionTooLarge, DomainError, Hyperplane, HyperplaneSlic
                       MarketModel, McConfig, RiskParams, Simplex, SimplexSlice,
                       TooFewBandSamples, covar_portfolio, grid_minimize, mc_covar,
                       reduce_model, validate_model)
+from covarsel.model import standard_normal_cdf
+from covarsel.oracle import _BAND_CHUNK, _band_returns
 from helpers import random_model
+
+
+def full_block_band(m, xi, y_star, eps, seed, samples):
+    """Reference: the band draw the conditioning-first one replaced.  Every
+    sample gets all n coordinates and is multiplied by the Cholesky factor;
+    the band is applied to the finished returns."""
+    base = np.random.Philox(seed)
+    low = np.linalg.cholesky(m.sigma)
+    kept = []
+    for chunk, start in enumerate(range(0, samples, _BAND_CHUNK)):
+        rng = np.random.Generator(base.jumped(chunk + 1))
+        z = rng.standard_normal((min(_BAND_CHUNK, samples - start), m.n))
+        returns = m.mu + z @ low.T
+        kept.append(returns[np.abs(returns[:, 0] - y_star) < eps] @ xi)
+    return np.concatenate(kept)
+
+
+def band_setup(seed, n):
+    """A random market, random long-only weights in internal order, the
+    stress level and the default band half-width."""
+    rng = np.random.default_rng(seed)
+    m, _ = random_model(rng, n=n)
+    xi = m.to_internal(rng.dirichlet(np.ones(n)))
+    return m, xi, m.mu1 - m.risk.a * m.sigma1, 0.05 * m.sigma1
 
 
 class TestMcConfig:
@@ -100,6 +126,58 @@ class TestMcCovar:
                                         conditioning_asset=1, risk=RiskParams(a=1.0, b=8.0)))
         with pytest.raises(TooFewBandSamples):
             mc_covar(m8, np.array([0.2, 0.5, 0.3]), McConfig(samples=1_000_000))
+
+
+class TestBandDraw:
+    """The band draws the conditioning asset's coordinate for every sample and
+    the other n - 1 only for the samples it keeps."""
+
+    @pytest.mark.parametrize("n", [3, 10, 50])
+    def test_kept_count_is_binomial(self, n):
+        m, xi, y_star, eps = band_setup(100 + n, n)
+        samples = 1_000_000
+        est = mc_covar(m, m.to_original(xi), McConfig(samples=samples, seed=n))
+        p = (standard_normal_cdf((y_star + eps - m.mu1) / m.sigma1)
+             - standard_normal_cdf((y_star - eps - m.mu1) / m.sigma1))
+        assert abs(est.band_kept - samples * p) <= 5.0 * math.sqrt(samples * p * (1.0 - p))
+
+    @pytest.mark.parametrize("n", [3, 10])
+    def test_same_distribution_as_full_block_draw(self, n):
+        from scipy.stats import ks_2samp
+        m, xi, y_star, eps = band_setup(200 + n, n)
+        reference = full_block_band(m, xi, y_star, eps, 1, 1_000_000)
+        new = _band_returns(m, xi, y_star, eps, np.random.Philox(2), 1_000_000)
+        k1, k2 = reference.shape[0], new.shape[0]
+        critical = math.sqrt(-0.5 * math.log(1e-3 / 2.0)) * math.sqrt((k1 + k2) / (k1 * k2))
+        assert ks_2samp(reference, new).statistic < critical
+
+    def test_reproducible_across_partial_chunk(self, example3):
+        m, _ = example3
+        x = np.array([0.2, 0.5, 0.3])
+        cfg = McConfig(samples=int(2.5 * _BAND_CHUNK), seed=9)
+        assert mc_covar(m, x, cfg) == mc_covar(m, x, cfg)
+        # each chunk is a fixed function of (seed, chunk): dropping the
+        # partial third chunk leaves the first two unchanged
+        xi, y_star, eps = m.to_internal(x), m.mu1 - m.risk.a * m.sigma1, 0.05 * m.sigma1
+        full = _band_returns(m, xi, y_star, eps, np.random.Philox(9), int(2.5 * _BAND_CHUNK))
+        head = _band_returns(m, xi, y_star, eps, np.random.Philox(9), 2 * _BAND_CHUNK)
+        assert np.array_equal(full[:head.shape[0]], head)
+
+    def test_exact_stage_reads_the_base_stream(self):
+        m, xi, y_star, _ = band_setup(5, 5)
+        seed, samples = 17, 100_000
+        est = mc_covar(m, m.to_original(xi), McConfig(samples=samples, seed=seed))
+        sigma_x = math.sqrt(float(xi @ m.sigma @ xi))
+        rho = float(xi @ m.sigma[:, 0]) / (sigma_x * m.sigma1)
+        mean = float(xi @ m.mu) + rho * sigma_x / m.sigma1 * (y_star - m.mu1)
+        sd = math.sqrt(sigma_x * sigma_x * (1.0 - rho * rho))
+        rng = np.random.Generator(np.random.Philox(seed))
+        draws = np.sort(mean + sd * rng.standard_normal(samples))
+        rank = math.ceil(m.risk.beta_level * samples)
+        u = rng.beta(rank, samples - rank + 1, size=256)
+        boot = draws[np.ceil(samples * u).astype(np.int64) - 1]
+        assert est.estimate == -draws[rank - 1]
+        assert est.std_error == np.std(boot, ddof=1)
 
 
 class TestGridMinimize:
