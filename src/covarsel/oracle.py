@@ -86,8 +86,8 @@ def _bootstrap_se(sorted_sample: np.ndarray, rank: int, rng) -> float:
     return float(np.std(sorted_sample[idx], ddof=1))
 
 
-def _band_returns(m: ValidatedModel, xi: np.ndarray, y_star: float, eps: float,
-                  base: np.random.Philox, n_samp: int) -> np.ndarray:
+def _band_returns(m: ValidatedModel, xi: np.ndarray, mu_x: float, y_star: float,
+                  eps: float, base: np.random.Philox, n_samp: int) -> np.ndarray:
     """Portfolio returns of the draws whose conditioning-asset return lies
     within ``eps`` of ``y_star``, in draw order.
 
@@ -95,10 +95,9 @@ def _band_returns(m: ValidatedModel, xi: np.ndarray, y_star: float, eps: float,
     ``mu + L z`` and the conditioning asset's is ``mu_Y + L00 z0``.  Each
     chunk draws ``z0`` for all its samples, masks the band on it, and then
     draws the other n - 1 coordinates for the kept rows only; the portfolio
-    return of a row is ``mu'x + z'(L'x)``.
+    return of a row is ``mu_x + z'(L'x)`` with ``mu_x = mu'x``.
     """
     low = cholesky_spd(m.sigma)
-    mu_x = float(xi @ m.mu)
     load = low.T @ xi
     kept = []
     # Chunk i reads its own jumped counter stream, z0 first and then the kept
@@ -157,7 +156,7 @@ def mc_covar(m: ValidatedModel, x, cfg: McConfig) -> McEstimate:
         std_error = _bootstrap_se(draws, rank, rng)
 
     eps = cfg.band_epsilon if cfg.band_epsilon is not None else 0.05 * sigma_y
-    kept = _band_returns(m, xi, y_star, eps, base, n_samp)
+    kept = _band_returns(m, xi, mu_x, y_star, eps, base, n_samp)
     if kept.shape[0] < MIN_BAND_KEPT:
         raise TooFewBandSamples(
             f"band of half-width {eps!r} retained {kept.shape[0]} draws (< {MIN_BAND_KEPT})")

@@ -146,7 +146,8 @@ class TestBandDraw:
         from scipy.stats import ks_2samp
         m, xi, y_star, eps = band_setup(200 + n, n)
         reference = full_block_band(m, xi, y_star, eps, 1, 1_000_000)
-        new = _band_returns(m, xi, y_star, eps, np.random.Philox(2), 1_000_000)
+        new = _band_returns(m, xi, float(xi @ m.mu), y_star, eps, np.random.Philox(2),
+                            1_000_000)
         k1, k2 = reference.shape[0], new.shape[0]
         critical = math.sqrt(-0.5 * math.log(1e-3 / 2.0)) * math.sqrt((k1 + k2) / (k1 * k2))
         assert ks_2samp(reference, new).statistic < critical
@@ -159,8 +160,10 @@ class TestBandDraw:
         # each chunk is a fixed function of (seed, chunk): dropping the
         # partial third chunk leaves the first two unchanged
         xi, y_star, eps = m.to_internal(x), m.mu1 - m.risk.a * m.sigma1, 0.05 * m.sigma1
-        full = _band_returns(m, xi, y_star, eps, np.random.Philox(9), int(2.5 * _BAND_CHUNK))
-        head = _band_returns(m, xi, y_star, eps, np.random.Philox(9), 2 * _BAND_CHUNK)
+        mu_x = float(xi @ m.mu)
+        full = _band_returns(m, xi, mu_x, y_star, eps, np.random.Philox(9),
+                             int(2.5 * _BAND_CHUNK))
+        head = _band_returns(m, xi, mu_x, y_star, eps, np.random.Philox(9), 2 * _BAND_CHUNK)
         assert np.array_equal(full[:head.shape[0]], head)
 
     def test_exact_stage_reads_the_base_stream(self):
