@@ -23,7 +23,7 @@ import numpy as np
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from covarsel import (ConstrainedProblem, MarketModel, RiskParams,
-                      constrained_frontier, frontier, markowitz_critical,
+                      constrained_frontier, frontier, markowitz_frontier,
                       reduce_model, sigma_and_var, validate_model)
 from covarsel.closedform import FrontierPoint
 
@@ -57,9 +57,7 @@ def example1(outdir, steps):
     write_points(outdir / "example1_constrained_covar.csv", pts, m.n)
 
     sigma_pts = []
-    gmv = None
-    for e in grid:
-        w = markowitz_critical(m, float(e))
+    for e, w in zip(grid, markowitz_frontier(m, grid)[0]):
         w = np.maximum(w, 0.0)
         w = w / w.sum()
         sig, _ = sigma_and_var(m, w)

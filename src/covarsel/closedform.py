@@ -35,13 +35,13 @@ remains for the volatility and value-at-risk frontiers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DomainError, NumericalBreakdown, PreconditionViolated
-from .linalg import cholesky_spd, solve_cholesky
 from .model import ValidatedModel
 from .reduction import ReducedModel
 from .riskmeasures import _covar_rows, _first
@@ -115,7 +115,6 @@ class CriticalSolution:
     exists.  In the degenerate regimes ``ray_base + tau * ray_direction`` is
     feasible for every tau >= 0 and the objective decreases along it; the pair
     is also populated for the infimum regime as a witness sequence.
-    ``t_hat, lambda1, lambda2`` are solver internals kept for diagnostics.
     """
 
     E_hat: float
@@ -125,9 +124,6 @@ class CriticalSolution:
     efficiency_class: EfficiencyClass | None
     ray_base: np.ndarray | None = None
     ray_direction: np.ndarray | None = None
-    t_hat: float | None = field(default=None, repr=False)
-    lambda1: float | None = field(default=None, repr=False)
-    lambda2: float | None = field(default=None, repr=False)
 
 
 def _delta_regime(r: ReducedModel) -> int:
@@ -180,15 +176,14 @@ def markowitz_frontier(m: ValidatedModel, targets) -> tuple[np.ndarray, float]:
     """Minimum-variance portfolios at every target return (Merton's closed form).
 
     Returns one row of weights per target, in the caller's asset order, and
-    the global minimum-variance return.  Sigma is factored once for all rows.
+    the global minimum-variance return.  ``sigma^-1 [mu, 1]`` is one LAPACK
+    solve for all rows.
     The stationarity condition puts ``sigma @ x`` in span{mu, ones}; both
     equality constraints are verified row by row to CONSTRAINT_TOL.
     """
     targets = np.asarray(targets, dtype=float)
-    low = cholesky_spd(m.sigma)
     ones = np.ones(m.n)
-    si_mu = solve_cholesky(low, m.mu)
-    si_one = solve_cholesky(low, ones)
+    si_mu, si_one = np.linalg.solve(m.sigma, np.column_stack((m.mu, ones))).T
     alpha_m, beta_m, gamma_m = float(m.mu @ si_mu), float(m.mu @ si_one), float(ones @ si_one)
     denom = alpha_m * gamma_m - beta_m * beta_m
     if denom <= 0.0:
@@ -200,12 +195,6 @@ def markowitz_frontier(m: ValidatedModel, targets) -> tuple[np.ndarray, float]:
             and np.all(np.abs(x.sum(axis=1) - 1.0) <= CONSTRAINT_TOL)):
         raise NumericalBreakdown("minimum-variance solve violated its constraints")
     return m.to_original(x), beta_m / gamma_m
-
-
-def markowitz_critical(m: ValidatedModel, E: float) -> np.ndarray:
-    """Minimum-variance portfolio at target return E, in the caller's asset
-    order; the one-target case of ``markowitz_frontier``."""
-    return markowitz_frontier(m, [E])[0][0]
 
 
 def _embed(x_hat: np.ndarray) -> np.ndarray:
@@ -277,25 +266,16 @@ def solve_critical(m: ValidatedModel, r: ReducedModel, E: float) -> CriticalSolu
     returned weights; the status is ``solvability_status``.
     """
     e_hat = float(E) - m.mu1
-    a = m.risk.a
-
     regime = _delta_regime(r)
     if regime == 1:
         x_int, values = _unique_critical(m, r, np.array([e_hat]))
-        if e_hat == 0.0:
-            t_hat = lam1 = lam2 = 0.0
-        else:
-            root = math.sqrt(r.Delta)
-            t_hat = r.beta_C / r.alpha_C * e_hat - abs(e_hat) * a * r.detG / (r.alpha_C * root)
-            lam1 = e_hat / r.alpha_C + abs(e_hat) * a * r.beta_C / (r.alpha_C * root)
-            lam2 = -abs(e_hat) * a / root
         return CriticalSolution(E_hat=e_hat, x=m.to_original(x_int[0]),
                                 value=float(values[0]), status=solvability_status(r),
-                                efficiency_class=classify_efficiency(r),
-                                t_hat=t_hat, lambda1=lam1, lambda2=lam2)
+                                efficiency_class=classify_efficiency(r))
 
     base, direction = _ray(m, r, e_hat)
     if regime == 0:
+        a = m.risk.a
         infimum = -m.mu1 + a * m.sigma1 + e_hat * (a * r.beta_C / r.alpha_C - 1.0)
         return CriticalSolution(E_hat=e_hat, x=None, value=infimum,
                                 status=SolveStatus.INFIMUM_NOT_ATTAINED,
@@ -307,9 +287,11 @@ def solve_critical(m: ValidatedModel, r: ReducedModel, E: float) -> CriticalSolu
                             ray_base=base, ray_direction=direction)
 
 
-@dataclass(frozen=True)
-class FrontierPoint:
-    """One sampled point of a frontier, ready for plotting or CSV emission."""
+class FrontierPoint(NamedTuple):
+    """One sampled point of a frontier, ready for plotting or CSV emission.
+
+    A named tuple rather than a frozen dataclass: ``frontier`` builds one per
+    grid point, and a tuple costs a fraction of that to construct."""
 
     E: float
     value: float
@@ -359,5 +341,5 @@ def frontier(m: ValidatedModel, r: ReducedModel, e_min: float, e_max: float,
     weights = m.to_original(x_int)
     flags = np.broadcast_to(point_is_efficient(classify_efficiency(r), e_hat), grid.shape)
     label = solvability_status(r).value
-    return [FrontierPoint(E=e, value=v, weights=w, efficient=f, status=label)
+    return [FrontierPoint(e, v, w, f, label)
             for e, v, w, f in zip(grid.tolist(), values.tolist(), weights, flags.tolist())]

@@ -3,9 +3,11 @@
 The factorization is LAPACK's, through ``np.linalg.cholesky``; on top of it a
 factor is accepted only if every pivot ``diag(L)**2`` stays above
 ``tol_scale * max(diag)``.  That makes "positive definite" a deterministic,
-reproducible predicate with no eigensolver involved.  The triangular solves
-are plain row loops: the closed-form solver needs only two of them per
-reduced model, so their cost is fixed per market, not per target.
+reproducible predicate with no eigensolver involved.
+
+The closed-form path factors each market once (``ValidatedModel.chol``) and
+solves through ``np.linalg.solve``.  ``solve_cholesky``'s triangular solves
+are plain row loops and serve only the constrained solver's face step.
 """
 
 from __future__ import annotations

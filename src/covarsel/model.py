@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -158,6 +159,8 @@ class ValidatedModel:
 
     ``perm`` maps internal slot i to the original asset index ``perm[i]``;
     ``to_internal`` / ``to_original`` translate weight vectors both ways.
+    ``chol`` is the lower Cholesky factor of the permuted sigma, computed once
+    and shared by validation, the reduction and the Monte-Carlo oracle.
     """
 
     mu: np.ndarray
@@ -176,6 +179,16 @@ class ValidatedModel:
     @property
     def n(self) -> int:
         return self.mu.shape[0]
+
+    @cached_property
+    def chol(self) -> np.ndarray:
+        """Read-only lower factor of sigma, with the PD_PIVOT_SCALE pivot floor.
+
+        Raises PivotFailure when sigma fails it; nothing is cached then.
+        """
+        low = cholesky_spd(self.sigma, PD_PIVOT_SCALE)
+        low.flags.writeable = False
+        return low
 
     @property
     def mu1(self) -> float:
@@ -229,7 +242,8 @@ def validate_model(m: MarketModel) -> ValidatedModel:
             f"conditioning_asset must be in 1..{n}, got {m.conditioning_asset!r}")
 
     scale = float(np.max(np.abs(sigma)))
-    if np.max(np.abs(sigma - sigma.T)) > SYMMETRY_RTOL * max(1.0, scale):
+    asym = sigma - sigma.T
+    if np.max(np.abs(asym, out=asym)) > SYMMETRY_RTOL * max(1.0, scale):
         raise NotPositiveDefinite("covariance matrix is not symmetric at tolerance")
     sigma = 0.5 * (sigma + sigma.T)
 
@@ -243,10 +257,10 @@ def validate_model(m: MarketModel) -> ValidatedModel:
     mu_p = mu[perm]
     sigma_p = sigma[np.ix_(perm, perm)]
 
+    vm = ValidatedModel(mu=mu_p, sigma=sigma_p, risk=m.risk,
+                        perm=perm, inv_perm=inv_perm)
     try:
-        cholesky_spd(sigma_p, PD_PIVOT_SCALE)
+        vm.chol
     except PivotFailure as exc:
         raise NotPositiveDefinite(f"covariance matrix failed Cholesky: {exc}") from exc
-
-    return ValidatedModel(mu=mu_p, sigma=sigma_p, risk=m.risk,
-                          perm=perm, inv_perm=inv_perm)
+    return vm

@@ -28,7 +28,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionTooLarge, DomainError, TooFewBandSamples
-from .linalg import cholesky_spd
 from .model import ValidatedModel, _as_weights
 from .reduction import ReducedModel
 from .riskmeasures import _raw_rows
@@ -91,13 +90,13 @@ def _band_returns(m: ValidatedModel, xi: np.ndarray, mu_x: float, y_star: float,
     """Portfolio returns of the draws whose conditioning-asset return lies
     within ``eps`` of ``y_star``, in draw order.
 
-    With ``L`` the lower-triangular factor of sigma, returns are
+    With ``L = m.chol`` the lower-triangular factor of sigma, returns are
     ``mu + L z`` and the conditioning asset's is ``mu_Y + L00 z0``.  Each
     chunk draws ``z0`` for all its samples, masks the band on it, and then
     draws the other n - 1 coordinates for the kept rows only; the portfolio
     return of a row is ``mu_x + z'(L'x)`` with ``mu_x = mu'x``.
     """
-    low = cholesky_spd(m.sigma)
+    low = m.chol
     load = low.T @ xi
     kept = []
     # Chunk i reads its own jumped counter stream, z0 first and then the kept

@@ -11,8 +11,15 @@ The Gramian of ``mu_hat`` and ``q_hat`` under the ``Qhat``-inverse inner
 product supplies the scalars ``alpha_C, beta_C, gamma_C`` and ``detG``; the
 sign of the discriminant ``Delta = b^2 alpha_C - a^2 detG`` decides whether a
 minimum-risk portfolio exists for a given target return.  The two solves
-behind it, ``Qhat^-1 mu_hat`` and ``Qhat^-1 q_hat``, are kept: every
-closed-form portfolio of the model is a combination of them.
+behind it, ``Qhat^-1 mu_hat`` and ``Qhat^-1 q_hat``, come from one LAPACK
+call on the stacked right-hand sides and are kept: every closed-form
+portfolio of the model is a combination of them.
+
+``Qhat = sigma_22 - sigma_21 sigma_12 / sigma_11`` is the Schur complement of
+``sigma_11`` in sigma, so its Cholesky factor is the trailing block of the
+factor ``ValidatedModel.chol`` that validation already computed.  Those
+trailing pivots passed the floor ``1e-10 max diag(sigma)``, which is at least
+Qhat's own, so Qhat is never factored again.
 
 When the ones vector, mu and q are linearly dependent, ``q_hat`` is parallel
 to ``mu_hat`` and ``detG = 0``.  ``ReducedModel.independent`` reports whether
@@ -28,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericalBreakdown
-from .linalg import PivotFailure, cholesky_spd, solve_cholesky
+from .linalg import PivotFailure
 from .model import ValidatedModel
 
 DEPENDENCE_RTOL = 1e-10
@@ -67,39 +74,13 @@ class ReducedModel:
             object.__setattr__(self, name, arr)
 
 
-def gramian_scalars(qhat_matrix, mu_hat, q_hat):
-    """Gramian entries of (mu_hat, q_hat) under the inverse of ``qhat_matrix``.
-
-    One Cholesky solve per vector; returns (alpha_C, beta_C, gamma_C, detG)
-    with detG = alpha_C * gamma_C - beta_C**2.
-    """
-    qhat_matrix = np.asarray(qhat_matrix, dtype=float)
-    mu_hat = np.asarray(mu_hat, dtype=float)
-    q_hat = np.asarray(q_hat, dtype=float)
-    try:
-        low = cholesky_spd(qhat_matrix)
-    except PivotFailure as exc:
-        raise NumericalBreakdown(f"reduced covariance block not PD: {exc}") from exc
-    return _gramian_from_chol(low, mu_hat, q_hat)[:4]
-
-
-def _gramian_from_chol(low, mu_hat, q_hat):
-    """(alpha_C, beta_C, gamma_C, detG, Qhat^-1 mu_hat, Qhat^-1 q_hat)."""
-    u = solve_cholesky(low, mu_hat)
-    v = solve_cholesky(low, q_hat)
-    alpha_c = float(mu_hat @ u)
-    beta_c = float(mu_hat @ v)
-    gamma_c = float(q_hat @ v)
-    det_g = alpha_c * gamma_c - beta_c * beta_c
-    return alpha_c, beta_c, gamma_c, det_g, u, v
-
-
 def reduce_model(m: ValidatedModel) -> ReducedModel:
     """Compute q, Q, Qhat, the reduced vectors and all Gramian scalars.
 
     Asserts the structural invariants on the way: the first row and column of
-    Q vanish, Qhat passes a tolerant Cholesky (raising NumericalBreakdown on a
-    near-singular covariance), and alpha_C is positive with every scalar
+    Q vanish, sigma's factor ``m.chol`` passes its pivot floor (raising
+    NumericalBreakdown on a near-singular covariance, for a model built
+    without ``validate_model``), and alpha_C is positive with every scalar
     finite (raising NumericalBreakdown on overflow).
     """
     sigma1 = m.sigma1
@@ -114,14 +95,18 @@ def reduce_model(m: ValidatedModel) -> ReducedModel:
     qhat = big_q[1:, 1:]
 
     try:
-        low = cholesky_spd(qhat)
+        m.chol
     except PivotFailure as exc:
         raise NumericalBreakdown(
-            f"reduced covariance block lost positive definiteness: {exc}") from exc
+            f"covariance lost positive definiteness: {exc}") from exc
 
     mu_hat = m.mu[1:] - m.mu[0]
     q_hat = q[1:] - q[0]
-    alpha_c, beta_c, gamma_c, det_g, u, v = _gramian_from_chol(low, mu_hat, q_hat)
+    u, v = np.linalg.solve(qhat, np.column_stack((mu_hat, q_hat))).T
+    alpha_c = float(mu_hat @ u)
+    beta_c = float(mu_hat @ v)
+    gamma_c = float(q_hat @ v)
+    det_g = alpha_c * gamma_c - beta_c * beta_c
     a, b = m.risk.a, m.risk.b
     delta = b * b * alpha_c - a * a * det_g
     if not (alpha_c > 0.0 and all(map(math.isfinite, (alpha_c, beta_c, gamma_c,

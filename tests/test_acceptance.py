@@ -13,7 +13,7 @@ import pytest
 from covarsel import (ConstrainedProblem, EfficiencyClass, HyperplaneSlice,
                       MarketModel, McConfig, RiskParams, SolveStatus,
                       classify_efficiency, covar_portfolio, covar_raw,
-                      grid_minimize, markowitz_critical, mc_covar,
+                      grid_minimize, markowitz_frontier, mc_covar,
                       minimize_constrained, reduce_model, solve_critical,
                       validate_model)
 from conftest import example3_at
@@ -227,7 +227,7 @@ def test_criterion_6_invariant_suites():
     for _ in range(n_inst):  # plain-VaR argmin equals the volatility argmin
         m, _ = random_model(rng, n=int(rng.integers(3, 6)))
         target = float(rng.uniform(m.mu.min(), m.mu.max()))
-        x_sigma = m.to_internal(markowitz_critical(m, target))
+        x_sigma = m.to_internal(markowitz_frontier(m, [target])[0][0])
         rows = np.vstack([np.ones(m.n), m.mu])
         x0, *_ = np.linalg.lstsq(rows, np.array([1.0, target]), rcond=None)
         _, _, vt = np.linalg.svd(rows)

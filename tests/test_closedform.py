@@ -9,21 +9,22 @@ from hypothesis import strategies as st
 from covarsel import (EfficiencyClass, LemmaParams, NumericalBreakdown,
                       PreconditionViolated, ReducedModel, RiskParams, SolveStatus,
                       covar_portfolio, covar_raw, classify_efficiency, frontier,
-                      lemma_minimize, markowitz_critical, markowitz_frontier,
+                      lemma_minimize, markowitz_frontier,
                       point_is_efficient,
                       solve_critical, validate_model, MarketModel)
-from covarsel.closedform import _recheck, _unique_critical
+from covarsel.closedform import FrontierPoint, _recheck, _unique_critical
 from helpers import (covar_value_raw, golden_section, near_dependent_model, random_model,
                      random_model_delta)
 
 
 def lemma_f(s, p, q):
-    return lambda t: s * t + math.sqrt((t - p) ** 2 + q)
+    """F(t), elementwise when t is an array."""
+    return lambda t: s * t + np.sqrt((t - p) ** 2 + q)
 
 
 def dense_min(fun, lo=-1e3, hi=1e3):
     ts = np.linspace(lo, hi, 10_001)
-    vals = np.array([fun(t) for t in ts])
+    vals = fun(ts)
     k = int(np.argmin(vals))
     t0, t1 = ts[max(k - 1, 0)], ts[min(k + 1, len(ts) - 1)]
     return golden_section(fun, t0, t1, iters=120)
@@ -286,13 +287,13 @@ class TestMarkowitz:
             sigma_inv_one = np.linalg.solve(m.sigma, np.ones(m.n))
             gamma_m = float(np.ones(m.n) @ sigma_inv_one)
             beta_m = float(m.mu @ sigma_inv_one)
-            x = markowitz_critical(m, beta_m / gamma_m)
+            x = markowitz_frontier(m, [beta_m / gamma_m])[0][0]
             assert np.allclose(m.to_internal(x), sigma_inv_one / gamma_m, atol=1e-10)
 
     def test_example3_against_kkt_system(self, example3):
         m, _ = example3
         target = 2.0
-        x = markowitz_critical(m, target)
+        x = markowitz_frontier(m, [target])[0][0]
         # independent route: bordered KKT system of the equality QP
         n = m.n
         kkt = np.zeros((n + 2, n + 2))
@@ -311,7 +312,7 @@ class TestMarkowitz:
         m = validate_model(MarketModel(mu=[1.0, 2.0], sigma=np.eye(2),
                                        conditioning_asset=1, risk=RiskParams(a=1, b=1)))
         for e in (1.0, 1.3, 2.0, 2.5):
-            x = markowitz_critical(m, e)
+            x = markowitz_frontier(m, [e])[0][0]
             assert np.allclose(x, [2.0 - e, e - 1.0], atol=1e-12)
 
 
@@ -335,6 +336,18 @@ class TestFrontier:
         pts = frontier(m, r, 2.0, 2.0, 1)
         assert len(pts) == 1
         assert pts[0].value == solve_critical(m, r, 2.0).value
+
+    def test_point_is_immutable_with_named_fields(self, example2):
+        m, r = example2
+        p = frontier(m, r, 1.0, 3.0, 3)[1]
+        assert (p.E, p.value, p.status) == (2.0, solve_critical(m, r, 2.0).value, "Unique")
+        assert isinstance(p.efficient, bool)
+        assert np.array_equal(p.weights, solve_critical(m, r, 2.0).x)
+        for name in ("E", "value", "weights", "efficient", "status"):
+            with pytest.raises(AttributeError):
+                setattr(p, name, None)
+        assert p == FrontierPoint(E=p.E, value=p.value, weights=p.weights,
+                                  efficient=p.efficient, status=p.status)
 
     def test_efficiency_flags_follow_class(self, example3):
         m, r = example3

@@ -168,3 +168,12 @@ def test_permutation_transparency():
         # sol.x is in the user's order; sol_pre.x is already in internal order
         assert np.array_equal(sol.x, sol_pre.x[m.inv_perm])
         assert sol.value == sol_pre.value
+
+
+@pytest.mark.parametrize("n", [3, 10, 50, 300])
+def test_chol_is_lapack_factor_of_permuted_sigma(n):
+    rng = np.random.default_rng(2000 + n)
+    m, _ = random_model(rng, n=n)
+    assert np.array_equal(m.chol, np.linalg.cholesky(m.sigma))
+    assert m.chol is m.chol
+    assert not m.chol.flags.writeable

@@ -1,8 +1,10 @@
+import sys
+
 import numpy as np
 import pytest
 
-from covarsel import (MarketModel, NumericalBreakdown, RiskParams, SolveStatus,
-                      ValidatedModel, gramian_scalars,
+from covarsel import (MarketModel, McConfig, NumericalBreakdown, RiskParams,
+                      SolveStatus, ValidatedModel, frontier, linalg, mc_covar,
                       reduce_model, solve_critical, validate_model)
 from helpers import random_model
 
@@ -55,12 +57,6 @@ class TestExampleFixtures:
         assert r.beta_C == pytest.approx(9 / 46, rel=1e-12)
         assert r.gamma_C == pytest.approx(2 / 23, rel=1e-12)
         assert r.detG == pytest.approx(1 / 92, rel=1e-10)
-
-    def test_gramian_scalars_standalone(self, example2):
-        _, r = example2
-        a_c, b_c, g_c, det_g = gramian_scalars(r.Qhat, r.mu_hat, r.q_hat)
-        assert (a_c, b_c, g_c) == (r.alpha_C, r.beta_C, r.gamma_C)
-        assert det_g == pytest.approx(r.detG, rel=1e-12)
 
 
 def test_dependent_mu_hat_q_hat_gives_singular_gramian():
@@ -155,3 +151,66 @@ def test_breakdown_on_nearly_singular_covariance():
                        perm=np.arange(3), inv_perm=np.arange(3))
     with pytest.raises(NumericalBreakdown):
         reduce_model(m)
+
+
+def reduction_by_inverse(mu, sigma, cond):
+    """Qhat, mu_hat, q_hat from the caller's raw inputs, and the two
+    Qhat-inverse products through an explicit inverse: a route that shares
+    no factor and no solve with ``reduce_model``."""
+    rest = np.delete(np.arange(mu.shape[0]), cond)
+    q = sigma[:, cond] / np.sqrt(sigma[cond, cond])
+    qhat = sigma[np.ix_(rest, rest)] - np.outer(sigma[rest, cond], sigma[cond, rest]) \
+        / sigma[cond, cond]
+    inv = np.linalg.inv(qhat)
+    mu_hat = mu[rest] - mu[cond]
+    q_hat = q[rest] - q[cond]
+    return qhat, inv @ mu_hat, inv @ q_hat, mu_hat, q_hat
+
+
+@pytest.mark.parametrize("n", [3, 10, 50, 300])
+def test_shared_factor_against_explicit_inverse(n):
+    rng = np.random.default_rng(1000 + n)
+    for _ in range(5 if n < 300 else 2):
+        m, r = random_model(rng, n=n)
+        sigma = m.sigma[np.ix_(m.inv_perm, m.inv_perm)]
+        mu = m.to_original(m.mu)
+        cond = int(m.perm[0])
+
+        low = m.chol[1:, 1:]
+        scale = float(np.max(np.abs(r.Qhat)))
+        assert np.max(np.abs(low @ low.T - r.Qhat)) <= 1e-12 * scale
+
+        qhat, u, v, mu_hat, q_hat = reduction_by_inverse(mu, sigma, cond)
+        assert np.max(np.abs(qhat - r.Qhat)) <= 1e-12 * scale
+        assert np.allclose(r.qinv_mu, u, rtol=1e-9, atol=1e-9 * np.max(np.abs(u)))
+        assert np.allclose(r.qinv_qh, v, rtol=1e-9, atol=1e-9 * np.max(np.abs(v)))
+        a_c, b_c, g_c = mu_hat @ u, mu_hat @ v, q_hat @ v
+        assert r.alpha_C == pytest.approx(a_c, rel=1e-9)
+        assert r.beta_C == pytest.approx(b_c, rel=1e-9, abs=1e-9 * np.sqrt(a_c * g_c))
+        assert r.gamma_C == pytest.approx(g_c, rel=1e-9)
+        assert r.detG == pytest.approx(a_c * g_c - b_c * b_c, abs=1e-9 * a_c * g_c)
+
+
+def test_one_factorization_from_validation_to_oracle(monkeypatch):
+    """validate -> reduce -> frontier -> mc_covar factors sigma once and never
+    runs the row-loop triangular solve."""
+    calls = {"cholesky_spd": 0, "solve_cholesky": 0}
+    for name in calls:
+        original = getattr(linalg, name)
+
+        def counted(*args, _name=name, _fn=original, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        for mod_name, mod in list(sys.modules.items()):
+            if mod is not None and mod_name.startswith("covarsel"):
+                for attr, value in list(vars(mod).items()):
+                    if value is original:
+                        monkeypatch.setattr(mod, attr, counted)
+
+    m = validate_model(MarketModel(mu=[2, 3, 1], sigma=[[1, 0.2, 1], [0.2, 1, 0], [1, 0, 9]],
+                                   conditioning_asset=1, risk=RiskParams(a=1.0, b=2.0)))
+    r = reduce_model(m)
+    points = frontier(m, r, 1.0, 3.0, 11)
+    mc_covar(m, points[5].weights, McConfig(samples=100_000, seed=3))
+    assert calls == {"cholesky_spd": 1, "solve_cholesky": 0}

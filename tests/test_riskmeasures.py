@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from covarsel import (DomainError, covar_bivariate, covar_portfolio, covar_raw,
-                      markowitz_critical, sigma_and_var)
+                      markowitz_frontier, sigma_and_var)
 from helpers import random_model
 
 
@@ -190,6 +190,6 @@ def test_var_and_sigma_share_their_minimizer():
     for _ in range(40):
         m, _ = random_model(rng, n=int(rng.integers(3, 6)))
         target = float(rng.uniform(m.mu.min(), m.mu.max()))
-        sigma_argmin = m.to_internal(markowitz_critical(m, target))
+        sigma_argmin = m.to_internal(markowitz_frontier(m, [target])[0][0])
         var_argmin = _var_minimizer_numeric(m, target)
         assert np.max(np.abs(sigma_argmin - var_argmin)) < 1e-8
