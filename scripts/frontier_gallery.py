@@ -11,20 +11,23 @@ Writes CSV files into an output directory:
 * example3_case{1a,1b,2a,2b,3}.csv: the five stress-intensity panels, one per
   efficiency regime occurrence, efficient points flagged.
 
-Every file uses the CLI column layout E,value,efficient,status,w1..wn.
+Every file is written by the CLI's CSV writer: E,value,efficient,status,w1..wn.
 """
 
 import argparse
+import dataclasses
 import pathlib
 import sys
 
 import numpy as np
 
-sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
 
-from covarsel import (ConstrainedProblem, MarketModel, RiskParams,
-                      constrained_frontier, frontier, markowitz_frontier,
-                      reduce_model, sigma_and_var, validate_model)
+from covarsel import (ConstrainedProblem, RiskParams, constrained_frontier,
+                      frontier, markowitz_frontier, reduce_model, sigma_and_var,
+                      validate_model)
+from covarsel.cli import _emit_points, load_scenario
 from covarsel.closedform import FrontierPoint
 
 EX3_PANELS = [
@@ -36,22 +39,18 @@ EX3_PANELS = [
 ]
 
 
+def fixture(name):
+    return load_scenario(str(ROOT / "scenarios" / f"{name}.json"))
+
+
 def write_points(path, points, n):
-    header = ["E", "value", "efficient", "status"] + [f"w{i}" for i in range(1, n + 1)]
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
-        for p in points:
-            row = [repr(p.E), repr(p.value), "true" if p.efficient else "false", p.status]
-            row += [repr(float(w)) for w in p.weights]
-            fh.write(",".join(row) + "\n")
+        _emit_points(points, n, "csv", fh)
 
 
 def example1(outdir, steps):
-    m = validate_model(MarketModel(
-        mu=[1, 4, 3],
-        sigma=[[1, -4 / 3, 2 / 3], [-4 / 3, 4, -1], [2 / 3, -1, 1]],
-        conditioning_asset=1, risk=RiskParams(a=0.8, b=0.7)))
-    r = reduce_model(m)
+    scenario = fixture("example1")
+    m, r = scenario.model, scenario.reduced
     grid = np.linspace(1.0, 4.0, steps)
     pts = constrained_frontier(ConstrainedProblem(model=m, reduced=r), grid)
     write_points(outdir / "example1_constrained_covar.csv", pts, m.n)
@@ -67,19 +66,16 @@ def example1(outdir, steps):
 
 
 def example2(outdir, steps):
-    m = validate_model(MarketModel(
-        mu=[2, 3, 1], sigma=[[1, 0.2, 1], [0.2, 1, 0], [1, 0, 9]],
-        conditioning_asset=1, risk=RiskParams(a=1.0, b=2.0)))
-    r = reduce_model(m)
+    scenario = fixture("example2")
+    m, r = scenario.model, scenario.reduced
     write_points(outdir / "example2_frontier.csv",
                  frontier(m, r, 1.0, 3.0, steps), m.n)
 
 
 def example3(outdir, steps):
+    market = fixture("example3").market
     for label, a, b in EX3_PANELS:
-        m = validate_model(MarketModel(
-            mu=[1, 2, 3], sigma=[[1, 1, 2], [1, 9, 0], [2, 0, 16]],
-            conditioning_asset=1, risk=RiskParams(a=a, b=b)))
+        m = validate_model(dataclasses.replace(market, risk=RiskParams(a=a, b=b)))
         r = reduce_model(m)
         write_points(outdir / f"example3_{label}.csv",
                      frontier(m, r, 0.0, 2.0, steps), m.n)

@@ -12,22 +12,13 @@ import sys
 
 import numpy as np
 
-sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
 
-from covarsel import (MarketModel, McConfig, RiskParams, covar_portfolio,
-                      mc_covar, reduce_model, validate_model)
+from covarsel import McConfig, covar_portfolio, mc_covar
+from covarsel.cli import load_scenario
 
-FIXTURES = {
-    "example1": dict(mu=[1, 4, 3],
-                     sigma=[[1, -4 / 3, 2 / 3], [-4 / 3, 4, -1], [2 / 3, -1, 1]],
-                     a=0.8, b=0.7),
-    "example2": dict(mu=[2, 3, 1],
-                     sigma=[[1, 0.2, 1], [0.2, 1, 0], [1, 0, 9]],
-                     a=1.0, b=2.0),
-    "example3": dict(mu=[1, 2, 3],
-                     sigma=[[1, 1, 2], [1, 9, 0], [2, 0, 16]],
-                     a=1.0, b=1.0),
-}
+FIXTURES = ("example1", "example2", "example3")
 
 
 def main():
@@ -41,11 +32,9 @@ def main():
     print(f"{'market':<10} {'portfolio':<28} {'closed':>12} {'mc':>12} "
           f"{'se':>10} {'z':>7} {'band':>12}")
     worst = 0.0
-    for name, params in FIXTURES.items():
-        m = validate_model(MarketModel(mu=params["mu"], sigma=params["sigma"],
-                                       conditioning_asset=1,
-                                       risk=RiskParams(a=params["a"], b=params["b"])))
-        r = reduce_model(m)
+    for name in FIXTURES:
+        scenario = load_scenario(str(ROOT / "scenarios" / f"{name}.json"))
+        m, r = scenario.model, scenario.reduced
         for k in range(args.portfolios):
             x = rng.dirichlet(np.ones(3))
             closed = covar_portfolio(m, r, x).covar

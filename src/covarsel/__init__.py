@@ -23,12 +23,12 @@ from .errors import (BadQuantileLevel, CovarselError, DimensionMismatch,
                      MuParallelToOnes, NoConvergence, NotPositiveDefinite,
                      NumericalBreakdown, PreconditionViolated, ScenarioError,
                      TooFewBandSamples)
-from .model import (MarketModel, Portfolio, RiskParams, ValidatedModel,
-                    normal_quantile, standard_normal_cdf, validate_model)
+from .model import (MarketModel, RiskParams, ValidatedModel, normal_quantile,
+                    standard_normal_cdf, validate_model)
 from .oracle import (Hyperplane, HyperplaneSlice, McConfig, McEstimate,
                      grid_minimize, mc_covar)
 from .reduction import ReducedModel, reduce_model
-from .riskmeasures import (PortfolioReport, covar_bivariate, covar_portfolio,
-                           covar_raw, sigma_and_var)
+from .riskmeasures import (PortfolioReport, covar_portfolio, covar_raw,
+                           sigma_and_var)
 
 __version__ = "0.1.0"

@@ -173,16 +173,15 @@ def _emit_record(record: dict, fmt: str, out):
             print(f"{k} = {_fmt(_jsonable(v))}", file=out)
 
 
-def _point_row(p: FrontierPoint, n: int) -> dict:
+def _point_row(p: FrontierPoint) -> dict:
     row = {"E": p.E, "value": p.value, "efficient": p.efficient, "status": p.status}
-    weights = p.weights if p.weights is not None else [None] * n
-    for i, w in enumerate(weights, start=1):
-        row[f"w{i}"] = None if w is None else float(w)
+    for i, w in enumerate(p.weights, start=1):
+        row[f"w{i}"] = float(w)
     return row
 
 
 def _emit_points(points, n, fmt, out):
-    rows = [_point_row(p, n) for p in points]
+    rows = [_point_row(p) for p in points]
     if fmt == "json":
         print(json.dumps([{k: _jsonable(v) for k, v in r.items()} for r in rows]), file=out)
         return
@@ -253,7 +252,7 @@ def cmd_solve(scenario: Scenario, target: float, fmt: str, out) -> int:
         "ray_direction": sol.ray_direction,
         "note": "objective decreases along ray_base + tau * ray_direction",
     }
-    _emit_record(record, fmt if fmt != "text" else "text", out)
+    _emit_record(record, fmt, out)
     return EXIT_REGIME
 
 
@@ -266,7 +265,7 @@ def cmd_frontier(scenario: Scenario, e_min, e_max, steps, mode, fmt, out) -> int
             record = {"status": solvability_status(r).value,
                       "Delta": r.Delta,
                       "note": "no frontier: per-target minimum does not exist"}
-            _emit_record(record, fmt if fmt != "text" else "text", out)
+            _emit_record(record, fmt, out)
             return EXIT_REGIME
     else:
         grid = target_grid(e_min, e_max, steps)
@@ -291,7 +290,7 @@ def cmd_constrained(scenario: Scenario, target, fmt, out) -> int:
                           value=sol.value, weights=sol.x, efficient=False,
                           status="Constrained")
     if fmt == "json":
-        record = _point_row(point, m.n)
+        record = _point_row(point)
         record.update({"multiple": sol.multiple,
                        "kkt_residual": sol.kkt_residual,
                        "kkt_min_dual": sol.kkt_min_dual})
@@ -316,7 +315,7 @@ def cmd_validate(scenario: Scenario, weights, cfg: McConfig, fmt, out) -> int:
         "samples": cfg.samples,
         "seed": cfg.seed,
     }
-    _emit_record(record, fmt if fmt != "text" else "text", out)
+    _emit_record(record, fmt, out)
     return EXIT_OK
 
 

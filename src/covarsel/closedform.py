@@ -49,6 +49,7 @@ from .riskmeasures import _covar_rows, _first
 DELTA_RTOL = 1e-12
 CHECK_RTOL = 1e-9
 CONSTRAINT_TOL = 1e-10
+TARGET_SLACK = 1e-12  # a return this far below a threshold still meets it
 
 
 class SolveStatus(str, Enum):
@@ -169,7 +170,7 @@ def minimum_variance_efficient(E, gmv: float):
     """Classical efficiency rule: a minimum-variance portfolio is efficient at
     or above the global minimum-variance return ``gmv = beta_m / gamma_m``.
     Elementwise over an array of returns E."""
-    return np.asarray(E) >= gmv - 1e-12
+    return np.asarray(E) >= gmv - TARGET_SLACK
 
 
 def markowitz_frontier(m: ValidatedModel, targets) -> tuple[np.ndarray, float]:
@@ -309,7 +310,7 @@ def point_is_efficient(eff: EfficiencyClass, e_hat):
         return False
     if eff is EfficiencyClass.ALL_EFFICIENT:
         return True
-    return e_hat >= -1e-12
+    return e_hat >= -TARGET_SLACK
 
 
 def target_grid(e_min: float, e_max: float, steps: int) -> np.ndarray:

@@ -32,14 +32,15 @@ from .errors import InfeasibleSlice, NoConvergence, NumericalBreakdown
 from .linalg import PivotFailure, cholesky_spd, solve_cholesky
 from .model import ValidatedModel
 from .reduction import ReducedModel
-from .closedform import FrontierPoint
+from .closedform import CONSTRAINT_TOL, TARGET_SLACK, FrontierPoint
 from .riskmeasures import QUAD_FLOOR, _raw_value
 
 ACTIVE_TOL = 1e-7
 DUAL_TOL = 1e-8
 RANK_RTOL = 1e-12
-TARGET_SLACK = 1e-12
 ROUNDS_PER_ASSET = 10
+TIE_RTOL = 1e-9  # relative gap at which f(e1) and the facet minimum tie
+DOMINANCE_SLACK = 1e-10  # how much lower a dominating frontier value must be
 
 
 @dataclass(frozen=True)
@@ -66,10 +67,6 @@ class ConstrainedProblem:
             if not (float(mu.min()) - TARGET_SLACK <= self.E <= float(mu.max()) + TARGET_SLACK):
                 raise InfeasibleSlice(
                     f"target return {self.E!r} outside [{mu.min()!r}, {mu.max()!r}]")
-
-    @property
-    def feasible_set(self):
-        return Simplex() if self.E is None else SimplexSlice(self.E)
 
 
 @dataclass(frozen=True)
@@ -172,9 +169,10 @@ def _face_step(cf, qf, b_risk, null, y0):
     return null @ (w_center - math.sqrt(v_min / gap) * h), 1.0
 
 
-def _bound_duals(g, rows, free):
+def _bound_duals(g, rows, free, svd):
     """Stationarity residual on the free coordinates, the smallest multiplier
     of the other bounds, and the bounds to release when it is negative.
+    ``svd`` is ``np.linalg.svd(rows[:, free])``.
 
     The row multipliers fit ``g`` on the free coordinates in least squares.
     When every free asset returns exactly the slice target, the free rows are
@@ -185,7 +183,7 @@ def _bound_duals(g, rows, free):
     infinite when all ``e_i`` share one strict sign.
     """
     sub = rows[:, free]
-    u, svals, vt = np.linalg.svd(sub)
+    u, svals, vt = svd
     rank = _rank(svals)
     lam = u[:, :rank] @ ((vt[:rank] @ g[free]) / svals[:rank])
     resid = float(np.abs(g[free] - sub.T @ lam).max(initial=0.0))
@@ -223,7 +221,7 @@ def _active_set(c, big_q, b_risk, rows, x, free, budget):
     for rounds in range(1, budget + 1):
         idx = np.flatnonzero(free)
         xf = x[idx]
-        _, svals, vt = np.linalg.svd(rows[:, idx])
+        u, svals, vt = np.linalg.svd(rows[:, idx])
         step, limit = _face_step(c[idx], big_q[np.ix_(idx, idx)], b_risk,
                                  vt[_rank(svals):].T, xf)
         falling = np.flatnonzero(step < 0.0)
@@ -236,7 +234,7 @@ def _active_set(c, big_q, b_risk, rows, x, free, budget):
             continue
         x[idx] = np.maximum(xf + step, 0.0)
         g = _gradient(c, big_q, b_risk, x)
-        _, min_dual, release = _bound_duals(g, rows, free)
+        _, min_dual, release = _bound_duals(g, rows, free, (u, svals, vt))
         if min_dual >= -DUAL_TOL * max(1.0, float(np.abs(g).max())):
             return x, rounds
         free[list(release)] = True
@@ -270,19 +268,22 @@ def _e1_feasible(mu, target) -> bool:
 def _kkt_at(c, big_q, b_risk, rows, x):
     """Stationarity residual and smallest active-bound multiplier at a point
     other than ``e1``; bounds below ACTIVE_TOL count as active."""
-    resid, min_dual, _ = _bound_duals(_gradient(c, big_q, b_risk, x), rows, x > ACTIVE_TOL)
+    free = x > ACTIVE_TOL
+    resid, min_dual, _ = _bound_duals(_gradient(c, big_q, b_risk, x), rows, free,
+                                      np.linalg.svd(rows[:, free]))
     return resid, min_dual
 
 
-def minimize_constrained(problem: ConstrainedProblem, tol: float = 1e-9) -> ConstrainedSolution:
+def minimize_constrained(problem: ConstrainedProblem) -> ConstrainedSolution:
     """Minimize the conditional risk measure over the feasible polytope.
 
-    ``tol`` is the relative gap below which ``f(e1)`` and the facet minimum
-    count as a tie.  The returned point meets the budget to 1e-10 and the
-    target return to 1e-10 max(1, |E|).  Raises InfeasibleSlice for
-    unreachable targets, NoConvergence when the active-set budget runs out or
-    the point misses those tolerances, and NumericalBreakdown when a face
-    system loses definiteness (ill-conditioned inputs).
+    ``f(e1)`` and the facet minimum count as a tie when their gap is at most
+    TIE_RTOL max(1, |f(e1)|).  The returned point meets the budget to
+    CONSTRAINT_TOL and the target return to CONSTRAINT_TOL max(1, |E|).
+    Raises InfeasibleSlice for unreachable targets, NoConvergence when the
+    active-set budget runs out or the point misses those tolerances, and
+    NumericalBreakdown when a face system loses definiteness (ill-conditioned
+    inputs).
     """
     m, r = problem.model, problem.reduced
     c = m.risk.a * r.q - m.mu
@@ -296,7 +297,7 @@ def minimize_constrained(problem: ConstrainedProblem, tol: float = 1e-9) -> Cons
         x[0] = 1.0
         value = _raw_value(m, r, x)
         facet_value = math.inf if facet is None else _raw_value(m, r, facet)
-        multiple = abs(facet_value - value) <= tol * max(1.0, abs(value))
+        multiple = abs(facet_value - value) <= TIE_RTOL * max(1.0, abs(value))
         if facet_value < value:
             x, value = facet, facet_value
             resid, min_dual = _kkt_at(c, r.Q, b_risk, rows, x)
@@ -308,7 +309,7 @@ def minimize_constrained(problem: ConstrainedProblem, tol: float = 1e-9) -> Cons
         resid, min_dual = _kkt_at(c, r.Q, b_risk, rows, x)
 
     defect = np.abs(rows @ x - rhs)
-    if not np.all(defect <= 1e-10 * np.maximum(1.0, np.abs(rhs))):
+    if not np.all(defect <= CONSTRAINT_TOL * np.maximum(1.0, np.abs(rhs))):
         raise NoConvergence(
             f"constrained solve left the feasible set (defects {defect.tolist()!r})")
     x_out = m.to_original(x)
@@ -326,7 +327,7 @@ def kkt_certificate(problem: ConstrainedProblem, x):
     """
     m, r = problem.model, problem.reduced
     c = m.risk.a * r.q - m.mu
-    xi = m.to_internal(np.asarray(x, dtype=float))
+    xi = m.to_internal(x)
     if float(xi @ r.Q @ xi) < QUAD_FLOOR:
         facet, _ = _facet_minimum(c, r.Q, m.risk.b, m.mu, problem.E, ROUNDS_PER_ASSET * m.n)
         if facet is None:
@@ -347,7 +348,7 @@ def constrained_frontier(problem: ConstrainedProblem, e_grid) -> list[FrontierPo
         sols.append((float(e), minimize_constrained(sub)))
     points = []
     for e, sol in sols:
-        dominated = any(o_e >= e - 1e-12 and o_sol.value < sol.value - 1e-10
+        dominated = any(o_e >= e - TARGET_SLACK and o_sol.value < sol.value - DOMINANCE_SLACK
                         for o_e, o_sol in sols if o_sol is not sol)
         points.append(FrontierPoint(E=e, value=sol.value, weights=sol.x,
                                     efficient=not dominated, status="Constrained"))

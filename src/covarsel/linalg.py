@@ -19,7 +19,7 @@ class PivotFailure(ValueError):
     """Internal: a Cholesky pivot fell below the relative floor."""
 
 
-def cholesky_spd(a: np.ndarray, tol_scale: float = 1e-10) -> np.ndarray:
+def cholesky_spd(a: np.ndarray, tol_scale: float) -> np.ndarray:
     """Lower Cholesky factor of a symmetric matrix with a relative pivot floor.
 
     Raises PivotFailure when LAPACK finds the matrix not positive definite,

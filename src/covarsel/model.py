@@ -136,24 +136,6 @@ class MarketModel:
 
 
 @dataclass(frozen=True)
-class Portfolio:
-    """Weight vector over the assets, summing to one."""
-
-    weights: np.ndarray
-
-    def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
-        if w.ndim != 1:
-            raise DimensionMismatch("portfolio weights must be a vector")
-        total = float(w.sum())
-        if abs(total - 1.0) > WEIGHT_SUM_TOL * max(1.0, abs(total)):
-            raise DomainError(f"portfolio weights sum to {total!r}, expected 1")
-        w = w.copy()
-        w.flags.writeable = False
-        object.__setattr__(self, "weights", w)
-
-
-@dataclass(frozen=True)
 class ValidatedModel:
     """Canonical model: conditioning asset permuted to internal position 0.
 
@@ -201,24 +183,18 @@ class ValidatedModel:
         return float(np.sqrt(self.sigma[0, 0]))
 
     def to_internal(self, weights: np.ndarray) -> np.ndarray:
+        """Internal order; the one entry check for a caller's weight vector."""
         w = np.asarray(weights, dtype=float)
         if w.shape != (self.n,):
             raise DimensionMismatch(f"expected weight vector of length {self.n}")
+        if not np.all(np.isfinite(w)):
+            raise DomainError("portfolio weights must be finite")
         return w[self.perm]
 
     def to_original(self, weights: np.ndarray) -> np.ndarray:
         """Caller's asset order; a 2-D array is taken as one portfolio per row."""
         w = np.asarray(weights, dtype=float)
         return w[..., self.inv_perm]
-
-
-def _as_weights(model: ValidatedModel, x) -> np.ndarray:
-    if isinstance(x, Portfolio):
-        x = x.weights
-    w = np.asarray(x, dtype=float)
-    if w.shape != (model.n,):
-        raise DimensionMismatch(f"expected weight vector of length {model.n}")
-    return w
 
 
 def validate_model(m: MarketModel) -> ValidatedModel:

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionTooLarge, DomainError, TooFewBandSamples
-from .model import ValidatedModel, _as_weights
+from .model import ValidatedModel
 from .reduction import ReducedModel
 from .riskmeasures import _raw_rows
 
@@ -45,7 +45,6 @@ class McConfig:
     samples: int = 1_000_000
     seed: int = 0
     band_epsilon: float | None = None
-    rng: str = "philox"
 
     def __post_init__(self):
         if self.samples < 10_000:
@@ -54,8 +53,6 @@ class McConfig:
             raise DomainError(f"seed must be non-negative, got {self.seed}")
         if self.band_epsilon is not None and not self.band_epsilon > 0.0:
             raise DomainError("band_epsilon must be positive")
-        if self.rng != "philox":
-            raise DomainError(f"unknown rng identifier {self.rng!r}")
 
 
 @dataclass(frozen=True)
@@ -119,8 +116,7 @@ def mc_covar(m: ValidatedModel, x, cfg: McConfig) -> McEstimate:
     fewer than MIN_BAND_KEPT of the draws lie at or below the beta-quantile,
     or when the band retains fewer than MIN_BAND_KEPT draws.
     """
-    w = _as_weights(m, x)
-    xi = m.to_internal(w)
+    xi = m.to_internal(x)
     a, b = m.risk.a, m.risk.b
     beta_level = m.risk.beta_level
     tail_draws = math.ceil(beta_level * cfg.samples)

@@ -1,16 +1,18 @@
 """Risk evaluation for arbitrary portfolios.
 
-Two routes compute the same conditional value-at-risk and must agree:
+The conditional value-at-risk has two forms:
 
-* the bivariate route, from the distribution of (portfolio, conditioning
+* the bivariate form, from the distribution of (portfolio, conditioning
   asset): ``-mu_X + sigma_X * (rho * a + b * sqrt(1 - rho^2))``;
-* the reduced route, directly in weight space:
+* the reduced form, directly in weight space:
   ``-x'mu + a x'q + b sqrt(x'Qx)``.
 
-``covar_portfolio`` evaluates both and raises NumericalBreakdown if they
-drift apart, which in practice only happens on corrupted inputs.  The
-check works row by row on a stack of portfolios, so the closed-form
-frontier rechecks a whole grid in one call.
+``covar_portfolio`` evaluates both and raises if they disagree.  The bivariate
+form takes rho from ``x'q`` and ``1 - rho^2`` from ``x'Qx``, so the two agree
+up to rounding even when ``q`` or ``Q`` is wrong: the comparison catches a
+NaN, a volatility that is not positive, |rho| > 1 and ``x'Qx > x'sigma x``.
+It works row by row, so the closed-form frontier rechecks a whole grid in
+one call.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NumericalBreakdown
-from .model import WEIGHT_SUM_TOL, ValidatedModel, _as_weights
+from .model import WEIGHT_SUM_TOL, ValidatedModel
 from .reduction import ReducedModel
 
 ROUTE_RTOL = 1e-9
@@ -43,22 +45,6 @@ class PortfolioReport:
     covar: float
 
 
-def covar_bivariate(mu_x: float, sigma_x: float, rho: float, a: float, b: float) -> float:
-    """Conditional value-at-risk from bivariate-normal marginal quantities.
-
-    For |rho| = 1 the conditional distribution collapses to a point and the
-    expression degrades continuously to ``-mu_x +/- a * sigma_x``.
-    """
-    if not (a > 0.0 and b > 0.0):
-        raise DomainError("stress intensities a and b must be positive")
-    if sigma_x < 0.0:
-        raise DomainError(f"sigma must be non-negative, got {sigma_x!r}")
-    if abs(rho) > 1.0 + RHO_TOL:
-        raise DomainError(f"correlation out of range: {rho!r}")
-    rho = min(1.0, max(-1.0, rho))
-    return -mu_x + sigma_x * (rho * a + b * math.sqrt(max(0.0, 1.0 - rho * rho)))
-
-
 def _raw_rows(m: ValidatedModel, r: ReducedModel, xi: np.ndarray):
     """Reduced-route objective of each row of ``xi`` (internal order), with
     the quadratic ``x'Qx`` it took the root of."""
@@ -77,8 +63,7 @@ def covar_raw(m: ValidatedModel, r: ReducedModel, x) -> float:
     Positively homogeneous of degree one and convex; exposed so those
     properties can be exercised away from the feasible hyperplane.
     """
-    w = _as_weights(m, x)
-    return _raw_value(m, r, m.to_internal(w))
+    return _raw_value(m, r, m.to_internal(x))
 
 
 def _first(bad: np.ndarray) -> int | None:
@@ -127,23 +112,20 @@ def covar_portfolio(m: ValidatedModel, r: ReducedModel, x) -> PortfolioReport:
     The reduced-route value is returned; the bivariate route is evaluated as
     well and the two must match to ROUTE_RTOL (relative).
     """
-    w = _as_weights(m, x)
-    total = float(w.sum())
+    xi = m.to_internal(x)
+    total = float(xi.sum())
     if not abs(total - 1.0) <= WEIGHT_SUM_TOL * max(1.0, abs(total)):
         raise DomainError(f"portfolio weights sum to {total!r}, expected 1")
-    expected, sigma, rho, value = (float(v[0]) for v in
-                                   _covar_rows(m, r, m.to_internal(w)[None, :]))
+    expected, sigma, rho, value = (float(v[0]) for v in _covar_rows(m, r, xi[None, :]))
     return PortfolioReport(E=expected, sigma=sigma, var_alpha=-expected + m.risk.a * sigma,
                            rho=rho, covar=value)
 
 
 def sigma_and_var(m: ValidatedModel, x) -> tuple[float, float]:
     """Volatility and plain value-at-risk ``-x'mu + a sigma(x)``."""
-    w = _as_weights(m, x)
-    xi = m.to_internal(w)
+    xi = m.to_internal(x)
     sigma = math.sqrt(max(0.0, float(xi @ m.sigma @ xi)))
     return sigma, float(-(xi @ m.mu) + m.risk.a * sigma)
 
 
-__all__ = ["PortfolioReport", "covar_bivariate", "covar_portfolio",
-           "covar_raw", "sigma_and_var"]
+__all__ = ["PortfolioReport", "covar_portfolio", "covar_raw", "sigma_and_var"]

@@ -254,6 +254,7 @@ def test_console_entry_point(scenario_dir):
     ("example3", ["frontier", "--E-min", "3", "--E-max", "1", "--steps", "3",
                   "--mode", "sigma"]),
     ("example2", ["validate", "--weights", "nan,0.5,0.5"]),
+    ("example2", ["validate", "--weights", "0.5,0.2,0.1"]),
 ])
 def test_bad_numbers_exit_two(scenario_dir, name, argv):
     """Non-finite targets and weights, a negative seed and a descending

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from covarsel import (ConstrainedProblem, InfeasibleSlice, Simplex, SimplexSlice,
+from covarsel import (ConstrainedProblem, InfeasibleSlice,
                       constrained_frontier, covar_raw, kkt_certificate,
                       minimize_constrained, project_simplex, solve_critical)
 from conftest import _pair
@@ -59,11 +59,6 @@ class TestFixtures:
             ConstrainedProblem(model=m, reduced=r, E=5.0)
         with pytest.raises(InfeasibleSlice):
             ConstrainedProblem(model=m, reduced=r, E=0.5)
-
-    def test_feasible_set_descriptor(self, example1):
-        m, r = example1
-        assert isinstance(ConstrainedProblem(model=m, reduced=r).feasible_set, Simplex)
-        assert ConstrainedProblem(model=m, reduced=r, E=2.0).feasible_set == SimplexSlice(E=2.0)
 
 
 class TestConditioningVertex:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from covarsel.linalg import PivotFailure, cholesky_spd
+from covarsel.model import PD_PIVOT_SCALE
 
 
 def row_loop_cholesky(a, tol_scale):
@@ -60,7 +61,7 @@ def test_indefinite_and_accepted_factor():
     with pytest.raises(PivotFailure):
         row_loop_cholesky(a, 1e-10)
     with pytest.raises(PivotFailure):
-        cholesky_spd(a)
-    low = cholesky_spd(b)
+        cholesky_spd(a, PD_PIVOT_SCALE)
+    low = cholesky_spd(b, PD_PIVOT_SCALE)
     assert np.allclose(low, row_loop_cholesky(b, 1e-10), rtol=1e-10, atol=1e-12)
     assert np.allclose(low @ low.T, b, rtol=1e-12, atol=1e-12)

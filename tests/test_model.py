@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from covarsel import (BadQuantileLevel, DimensionMismatch, DomainError,
                       MarketModel, MuParallelToOnes, NotPositiveDefinite,
-                      Portfolio, RiskParams, normal_quantile,
+                      RiskParams, normal_quantile,
                       standard_normal_cdf, solve_critical, validate_model)
 from helpers import random_model
 
@@ -138,13 +138,6 @@ def _ex2_conditioned_on(idx):
                                    sigma=[[1, 0.2, 1], [0.2, 1, 0], [1, 0, 9]],
                                    conditioning_asset=idx, risk=RiskParams(a=1, b=2)))
     return m, reduce_model(m)
-
-
-class TestPortfolio:
-    def test_weights_must_sum_to_one(self):
-        with pytest.raises(DomainError):
-            Portfolio(weights=[0.5, 0.2])
-        Portfolio(weights=[0.5, 0.5])
 
 
 def test_permutation_transparency():

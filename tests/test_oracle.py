@@ -45,10 +45,6 @@ class TestMcConfig:
         with pytest.raises(DomainError):
             McConfig(band_epsilon=0.0)
 
-    def test_rng_identifier(self):
-        with pytest.raises(DomainError):
-            McConfig(rng="mersenne")
-
 
 class TestMcCovar:
     def test_deterministic_given_seed(self, example3):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from covarsel import (DomainError, covar_bivariate, covar_portfolio, covar_raw,
-                      markowitz_frontier, sigma_and_var)
+from covarsel import (DomainError, McConfig, covar_portfolio, covar_raw,
+                      markowitz_frontier, mc_covar, sigma_and_var)
 from helpers import random_model
 
 
@@ -33,13 +34,20 @@ def ex3_value(x, a, b):
 
 
 class TestBivariate:
-    def test_full_correlation_reduces_to_stressed_var(self):
+    def test_full_correlation_reduces_to_stressed_var(self, example1):
         # Example-1 conditioning asset against itself: -1 + 0.8 = -0.2
-        assert covar_bivariate(1.0, 1.0, 1.0, a=0.8, b=0.7) == pytest.approx(-0.2)
+        m, r = example1
+        rep = covar_portfolio(m, r, [1.0, 0.0, 0.0])
+        assert rep.rho == 1.0
+        assert rep.covar == pytest.approx(-0.2)
 
-    def test_zero_correlation_is_plain_var(self):
-        assert covar_bivariate(1.5, 2.0, 0.0, a=0.8, b=0.7) == pytest.approx(
-            -1.5 + 0.7 * 2.0)
+    def test_zero_correlation_is_plain_var(self, example2):
+        # x'q = 0 at (0, 1.25, -0.25): E = 3.5, sigma^2 = 2.125, so the value
+        # is -E + b sigma.
+        m, r = example2
+        rep = covar_portfolio(m, r, [0.0, 1.25, -0.25])
+        assert rep.rho == pytest.approx(0.0, abs=1e-15)
+        assert rep.covar == pytest.approx(-3.5 + 2.0 * math.sqrt(2.125), rel=1e-12)
 
     def test_example2_vertex(self, example2):
         m, r = example2
@@ -47,11 +55,11 @@ class TestBivariate:
         assert rep.covar == pytest.approx(-1.0, abs=1e-12)
         assert rep.rho == pytest.approx(1.0)
 
-    def test_correlation_domain(self):
-        with pytest.raises(DomainError):
-            covar_bivariate(0.0, 1.0, 1.5, a=1.0, b=1.0)
-        with pytest.raises(DomainError):
-            covar_bivariate(0.0, -1.0, 0.0, a=1.0, b=1.0)
+    def test_correlation_domain(self, example1):
+        # Doubling q makes x'q = 2 sigma at e1, a correlation of 2.
+        m, r = example1
+        with pytest.raises(DomainError, match="correlation out of range: 2.0"):
+            covar_portfolio(m, dataclasses.replace(r, q=2 * r.q), [1.0, 0.0, 0.0])
 
 
 class TestPortfolioValue:
@@ -72,12 +80,12 @@ class TestPortfolioValue:
         m, r = example2
         assert covar_portfolio(m, r, [1, 0, 0]).covar == pytest.approx(-1.0)
 
-    def test_accepts_portfolio_wrapper(self, example2):
-        from covarsel import Portfolio
+    def test_weights_must_sum_to_one(self, example2):
         m, r = example2
-        rep = covar_portfolio(m, r, Portfolio(weights=[0.5, 0.25, 0.25]))
-        assert rep.covar == pytest.approx(
-            covar_portfolio(m, r, np.array([0.5, 0.25, 0.25])).covar)
+        with pytest.raises(DomainError, match="sum to"):
+            covar_portfolio(m, r, [0.5, 0.2, 0.0])
+        with pytest.raises(DomainError, match="sum to"):
+            covar_portfolio(m, r, [1.0, 0.0, 1e-9])
 
     @pytest.mark.parametrize("which", ["ex1", "ex2", "ex3"])
     def test_against_spelled_out_closed_forms(self, which, example1, example2, example3):
@@ -90,6 +98,19 @@ class TestPortfolioValue:
             x = x / x.sum() if abs(x.sum()) > 0.2 else rng.dirichlet(np.ones(3))
             rep = covar_portfolio(m, r, x)
             assert rep.covar == pytest.approx(oracle(x), rel=1e-9, abs=1e-9)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("evaluate", [
+    lambda m, r, x: covar_raw(m, r, x),
+    lambda m, r, x: covar_portfolio(m, r, x),
+    lambda m, r, x: sigma_and_var(m, x),
+    lambda m, r, x: mc_covar(m, x, McConfig(samples=10_000)),
+], ids=["covar_raw", "covar_portfolio", "sigma_and_var", "mc_covar"])
+def test_non_finite_weights_are_domain_errors(example2, evaluate, bad):
+    m, r = example2
+    with pytest.raises(DomainError, match="finite"):
+        evaluate(m, r, [bad, 0.5, 0.5])
 
 
 class TestSigmaAndVar:
