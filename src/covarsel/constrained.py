@@ -15,10 +15,10 @@ tie makes the whole segment optimal.
 On the facet, and on every slice that excludes ``e1``, ``f`` is smooth and
 strictly convex, and a primal active-set method finds the exact minimizer
 (Nocedal & Wright, *Numerical Optimization*, ch. 16).  Each round minimizes
-``f`` in closed form on the affine hull of the current face.  If the way there
-leaves the orthant, it steps to the first blocking bound and fixes that bound;
-at a face minimizer it releases the bound with the most negative multiplier,
-or stops when none is negative.
+``f`` on the affine hull of the current face (one KKT solve and a quadratic).
+If the way there leaves the orthant, it steps to the first blocking bound and
+fixes that bound; at a face minimizer it releases the bound with the most
+negative multiplier, or stops when none is negative.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfeasibleSlice, NoConvergence, NumericalBreakdown
-from .linalg import PivotFailure, cholesky_spd, solve_cholesky
 from .model import ValidatedModel
 from .reduction import ReducedModel
 from .closedform import CONSTRAINT_TOL, TARGET_SLACK, FrontierPoint
@@ -141,38 +140,44 @@ def _gradient(c, big_q, b_risk, x):
     return c + b_risk * qx / math.sqrt(quad)
 
 
-def _face_step(cf, qf, b_risk, null, y0):
-    """Move from ``y0`` towards the minimum of ``cf'y + b sqrt(y'Qf y)`` on
-    the affine hull ``y0 + span(null)`` of one face.
+def _face_step(cf, pf, b_risk, sub, y0):
+    """Move from ``y0`` towards the minimum of ``cf'y + b sqrt(y'Pf y)`` on
+    ``{A y = A y0}``, ``A`` being the first ``rank`` rows of ``sub``.  It lies
+    at ``y_r + tau y_c``: one solve of ``K = [[Pf, A'], [A, 0]]``, refined once
+    for badly scaled returns, gives ``y_r`` from ``[0; A y0]`` and ``y_c`` from
+    ``[-cf; 0]``, and ``tau = sqrt(p0 / (b^2 - p2))`` with ``p0 = y_r'Pf y_r``
+    and ``p2 = y_c'Pf y_c``.  The cross term ``y_r'Pf y_c`` vanishes, as
+    ``Pf y_r`` lies in the row space of ``A`` and ``A y_c = 0``.
 
-    Returns ``(step, 1.0)`` when that minimum exists, ``y0 + step`` being the
-    minimizer, and ``(ray, inf)`` when the objective decreases without end, or
-    towards an infimum it never attains, along ``y0 + t * ray``.  ``Qf`` must
-    be positive definite on ``span(null)`` and ``y'Qf y`` positive on the hull.
+    Returns ``(step, 1.0)`` with ``y0 + step`` the minimizer, or ``(y_c, inf)``
+    when ``p2 >= b^2`` and the objective falls without end, or towards an
+    infimum it never attains, along ``y0 + t y_c``.  Raises NumericalBreakdown
+    when ``K`` is singular or ``p0`` or ``p2`` is negative (lost definiteness).
     """
-    if null.shape[1] == 0:
-        return np.zeros_like(y0), 1.0
-    m_red = null.T @ qf @ null
+    a_rows = sub[:_rank(np.linalg.svd(sub, compute_uv=False))]
+    k, rank = y0.shape[0], a_rows.shape[0]
+    kkt = np.zeros((k + rank, k + rank))
+    kkt[:k, :k], kkt[:k, k:], kkt[k:, :k] = pf, a_rows.T, a_rows
+    rhs = np.zeros((k + rank, 2))
+    rhs[k:, 0], rhs[:k, 1] = a_rows @ y0, -cf
     try:
-        low = cholesky_spd(0.5 * (m_red + m_red.T), 1e-13)
-    except PivotFailure as exc:
-        raise NumericalBreakdown(f"face system lost definiteness: {exc}") from exc
-    qy = qf @ y0
-    cross = null.T @ qy
-    w_center = -solve_cholesky(low, cross)
-    v_min = max(float(y0 @ qy + cross @ w_center), 0.0)
-    c_red = null.T @ cf
-    h = solve_cholesky(low, c_red)
-    gap = b_risk * b_risk - float(c_red @ h)
+        sol = np.linalg.solve(kkt, rhs)
+        sol += np.linalg.solve(kkt, rhs - kkt @ sol)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalBreakdown(f"face system is singular: {exc}") from exc
+    y_r, y_c = sol[:k].T
+    p0, p2 = float(y_r @ pf @ y_r), float(y_c @ pf @ y_c)
+    if not (0.0 <= p0 < math.inf and 0.0 <= p2 < math.inf):
+        raise NumericalBreakdown(f"face system lost definiteness (p0 {p0!r}, p2 {p2!r})")
+    gap = b_risk * b_risk - p2
     if gap <= 0.0:
-        return -(null @ h), math.inf
-    return null @ (w_center - math.sqrt(v_min / gap) * h), 1.0
+        return y_c, math.inf
+    return y_r + math.sqrt(p0 / gap) * y_c - y0, 1.0
 
 
-def _bound_duals(g, rows, free, svd):
+def _bound_duals(g, rows, free):
     """Stationarity residual on the free coordinates, the smallest multiplier
     of the other bounds, and the bounds to release when it is negative.
-    ``svd`` is ``np.linalg.svd(rows[:, free])``.
 
     The row multipliers fit ``g`` on the free coordinates in least squares.
     When every free asset returns exactly the slice target, the free rows are
@@ -183,7 +188,7 @@ def _bound_duals(g, rows, free, svd):
     infinite when all ``e_i`` share one strict sign.
     """
     sub = rows[:, free]
-    u, svals, vt = svd
+    u, svals, vt = np.linalg.svd(sub)
     rank = _rank(svals)
     lam = u[:, :rank] @ ((vt[:rank] @ g[free]) / svals[:rank])
     resid = float(np.abs(g[free] - sub.T @ lam).max(initial=0.0))
@@ -221,9 +226,7 @@ def _active_set(c, big_q, b_risk, rows, x, free, budget):
     for rounds in range(1, budget + 1):
         idx = np.flatnonzero(free)
         xf = x[idx]
-        u, svals, vt = np.linalg.svd(rows[:, idx])
-        step, limit = _face_step(c[idx], big_q[np.ix_(idx, idx)], b_risk,
-                                 vt[_rank(svals):].T, xf)
+        step, limit = _face_step(c[idx], big_q[np.ix_(idx, idx)], b_risk, rows[:, idx], xf)
         falling = np.flatnonzero(step < 0.0)
         ratios = xf[falling] / -step[falling]
         if ratios.size and ratios.min() < limit:
@@ -234,7 +237,7 @@ def _active_set(c, big_q, b_risk, rows, x, free, budget):
             continue
         x[idx] = np.maximum(xf + step, 0.0)
         g = _gradient(c, big_q, b_risk, x)
-        _, min_dual, release = _bound_duals(g, rows, free, (u, svals, vt))
+        _, min_dual, release = _bound_duals(g, rows, free)
         if min_dual >= -DUAL_TOL * max(1.0, float(np.abs(g).max())):
             return x, rounds
         free[list(release)] = True
@@ -261,17 +264,10 @@ def _facet_minimum(c, big_q, b_risk, mu, target, budget):
     return (None if y is None else np.concatenate(([0.0], y))), rounds
 
 
-def _e1_feasible(mu, target) -> bool:
-    return target is None or abs(target - mu[0]) <= TARGET_SLACK
-
-
 def _kkt_at(c, big_q, b_risk, rows, x):
     """Stationarity residual and smallest active-bound multiplier at a point
     other than ``e1``; bounds below ACTIVE_TOL count as active."""
-    free = x > ACTIVE_TOL
-    resid, min_dual, _ = _bound_duals(_gradient(c, big_q, b_risk, x), rows, free,
-                                      np.linalg.svd(rows[:, free]))
-    return resid, min_dual
+    return _bound_duals(_gradient(c, big_q, b_risk, x), rows, x > ACTIVE_TOL)[:2]
 
 
 def minimize_constrained(problem: ConstrainedProblem) -> ConstrainedSolution:
@@ -282,8 +278,8 @@ def minimize_constrained(problem: ConstrainedProblem) -> ConstrainedSolution:
     CONSTRAINT_TOL and the target return to CONSTRAINT_TOL max(1, |E|).
     Raises InfeasibleSlice for unreachable targets, NoConvergence when the
     active-set budget runs out or the point misses those tolerances, and
-    NumericalBreakdown when a face system loses definiteness (ill-conditioned
-    inputs).
+    NumericalBreakdown when a face's KKT matrix is singular or its quadratic
+    form turns negative (ill-conditioned inputs).
     """
     m, r = problem.model, problem.reduced
     c = m.risk.a * r.q - m.mu
@@ -291,7 +287,7 @@ def minimize_constrained(problem: ConstrainedProblem) -> ConstrainedSolution:
     budget = ROUNDS_PER_ASSET * m.n
     rows, rhs = _rows(m.mu, problem.E)
     multiple = False
-    if _e1_feasible(m.mu, problem.E):
+    if problem.E is None or abs(problem.E - m.mu[0]) <= TARGET_SLACK:  # e1 is feasible
         facet, rounds = _facet_minimum(c, r.Q, b_risk, m.mu, problem.E, budget)
         x = np.zeros(m.n)
         x[0] = 1.0

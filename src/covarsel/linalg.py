@@ -6,8 +6,8 @@ factor is accepted only if every pivot ``diag(L)**2`` stays above
 reproducible predicate with no eigensolver involved.
 
 The closed-form path factors each market once (``ValidatedModel.chol``) and
-solves through ``np.linalg.solve``.  ``solve_cholesky``'s triangular solves
-are plain row loops and serve only the constrained solver's face step.
+solves through ``np.linalg.solve``, as the constrained solver's face step does.
+Nothing in covarsel calls the row-loop ``solve_cholesky``; the bench traces it.
 """
 
 from __future__ import annotations

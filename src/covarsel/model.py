@@ -31,6 +31,7 @@ from .linalg import PivotFailure, cholesky_spd
 SYMMETRY_RTOL = 1e-12
 PD_PIVOT_SCALE = 1e-10
 WEIGHT_SUM_TOL = 1e-12
+MU_SPAN_RTOL = 1e-12  # smallest return spread, relative to max(1, max |mu|)
 
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -224,7 +225,7 @@ def validate_model(m: MarketModel) -> ValidatedModel:
     sigma = 0.5 * (sigma + sigma.T)
 
     mu_span = float(np.max(mu) - np.min(mu))
-    if mu_span <= 1e-12 * max(1.0, float(np.max(np.abs(mu)))):
+    if mu_span <= MU_SPAN_RTOL * max(1.0, float(np.max(np.abs(mu)))):
         raise MuParallelToOnes("every asset has the same expected return")
 
     cond = int(m.conditioning_asset) - 1

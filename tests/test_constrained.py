@@ -6,9 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from covarsel import (ConstrainedProblem, InfeasibleSlice,
-                      constrained_frontier, covar_raw, kkt_certificate,
-                      minimize_constrained, project_simplex, solve_critical)
+from covarsel import (ConstrainedProblem, InfeasibleSlice, MarketModel, NoConvergence,
+                      NumericalBreakdown, RiskParams, constrained_frontier, covar_raw,
+                      kkt_certificate, minimize_constrained, project_simplex,
+                      reduce_model, solve_critical, validate_model)
+from covarsel.constrained import _face_step
 from conftest import _pair
 from helpers import (covar_value_raw, random_model, random_model_delta, sample_slice,
                      slice_min_oracle)
@@ -246,3 +248,101 @@ class TestSlsqpDifferential:
             checked += 1
             assert sol.value <= ref + 1e-9 * max(1.0, abs(ref))
         assert checked >= 0.8 * trials
+
+
+def _null_space_face_min(cf, pf, b, sub, y0):
+    """Reference face step by the null-space method: an SVD basis ``N`` of
+    ``sub``'s null space, then ``np.linalg.solve`` on ``N'PN``.  On
+    ``y0 + N w`` the objective is ``cf'N w + b sqrt(v + (w - w0)'M(w - w0))``
+    plus a constant, with ``M = N'PN``, ``w0`` the centre of the quadratic and
+    ``v`` its minimum; it is unbounded below along ``-N M^-1 N'cf`` when
+    ``b^2 <= cf'N M^-1 N'cf``.  Returns ``(minimizer, False)`` or
+    ``(ray, True)``."""
+    _, svals, vt = np.linalg.svd(sub)
+    null = vt[int(np.sum(svals > 1e-12 * svals[0])):].T
+    if null.shape[1] == 0:
+        return y0, False
+    m = null.T @ pf @ null
+    w0, h = np.linalg.solve(m, np.stack([-(null.T @ pf @ y0), null.T @ cf], 1)).T
+    centre = y0 + null @ w0
+    gap = b * b - cf @ null @ h
+    if gap <= 0.0:
+        return -(null @ h), True
+    return centre - math.sqrt(max(centre @ pf @ centre, 0.0) / gap) * (null @ h), False
+
+
+class TestFaceStep:
+    """The KKT face step against the null-space reference on seeded random
+    faces with k = 1 to 40 free assets."""
+
+    def _faces(self, seed, with_e1, b):
+        rng = np.random.default_rng(seed)
+        for _ in range(150):
+            k = int(rng.integers(1, 41))
+            m, r = random_model(rng, n=max(k, 2) if with_e1 else k + 1, b=b)
+            idx = np.arange(k) if with_e1 else np.arange(1, k + 1)
+            ones = np.ones(k)
+            slice_rows = with_e1 or rng.random() < 0.5
+            sub = np.vstack([ones, m.mu[idx]]) if slice_rows else ones[None, :]
+            c = m.risk.a * r.q - m.mu
+            yield c[idx], r.Q[np.ix_(idx, idx)], m.risk.b, sub, rng.dirichlet(ones)
+
+    def _check(self, faces):
+        regimes = []
+        for cf, pf, b, sub, y0 in faces:
+            step, limit = _face_step(cf, pf, b, sub, y0)
+            ref, unbounded = _null_space_face_min(cf, pf, b, sub, y0)
+            assert (limit == math.inf) == unbounded
+            got = step if unbounded else y0 + step
+            assert np.linalg.norm(got - ref) <= 1e-10 * np.linalg.norm(ref)
+            regimes.append(unbounded)
+        return regimes
+
+    def test_singular_along_e1(self):
+        """Asset 0 free, so ``P`` is singular along ``e1``; the slice rows
+        keep ``e1`` off the hull, as in the solver."""
+        assert self._check(self._faces(71, with_e1=True, b=8.0)).count(False) >= 50
+
+    def test_positive_definite_facet_faces(self):
+        assert self._check(self._faces(72, with_e1=False, b=4.0)).count(False) >= 50
+
+    def test_small_b_unbounded_faces(self):
+        regimes = self._check(self._faces(73, with_e1=False, b=1.0))
+        assert any(regimes) and not all(regimes)
+
+    def test_lost_definiteness_raises(self):
+        y0, row = np.array([0.5, 0.5]), np.ones((1, 2))
+        with pytest.raises(NumericalBreakdown, match="singular"):
+            _face_step(np.array([1.0, -1.0]), np.zeros((2, 2)), 1.0, row, y0)
+        with pytest.raises(NumericalBreakdown, match="definiteness"):
+            _face_step(np.array([1.0, -1.0]), -np.eye(2), 1.0, row, y0)
+
+
+@pytest.mark.parametrize("seed, floor", [(3, 157), (4, 163), (5, 180)])
+def test_badly_scaled_slices(seed, floor):
+    """Slices of random n = 2-5 markets with one return scaled by 10^1 to
+    10^29 and the target between the other returns.  The floors are the
+    counts of the 400 draws that the earlier null-space face step (an SVD
+    basis, N'QN and a second Cholesky per round) solved on these same draws;
+    the KKT face step solves 174, 176 and 188.  Every failure must be
+    NoConvergence or NumericalBreakdown."""
+    rng = np.random.default_rng(seed)
+    solved = 0
+    for _ in range(400):
+        n = int(rng.integers(2, 6))
+        mat = rng.normal(size=(n, n))
+        sigma = mat @ mat.T + 0.5 * np.trace(mat @ mat.T) / n * np.eye(n)
+        mu = rng.normal(size=n)
+        scaled = int(rng.integers(n))
+        mu[scaled] *= 10.0 ** int(rng.integers(1, 30))
+        others = np.delete(mu, scaled)
+        target = float(rng.uniform(others.min(), others.max()))
+        m = validate_model(MarketModel(mu=mu, sigma=sigma,
+                                       conditioning_asset=int(rng.integers(1, n + 1)),
+                                       risk=RiskParams(a=1.0, b=1.5)))
+        try:
+            minimize_constrained(ConstrainedProblem(model=m, reduced=reduce_model(m), E=target))
+        except (NoConvergence, NumericalBreakdown):
+            continue
+        solved += 1
+    assert solved >= floor

@@ -3,9 +3,9 @@ import sys
 import numpy as np
 import pytest
 
-from covarsel import (MarketModel, McConfig, NumericalBreakdown, RiskParams,
-                      SolveStatus, ValidatedModel, frontier, linalg, mc_covar,
-                      reduce_model, solve_critical, validate_model)
+from covarsel import (ConstrainedProblem, MarketModel, McConfig, NumericalBreakdown,
+                      RiskParams, SolveStatus, ValidatedModel, frontier, linalg, mc_covar,
+                      minimize_constrained, reduce_model, solve_critical, validate_model)
 from helpers import random_model
 
 
@@ -192,8 +192,9 @@ def test_shared_factor_against_explicit_inverse(n):
 
 
 def test_one_factorization_from_validation_to_oracle(monkeypatch):
-    """validate -> reduce -> frontier -> mc_covar factors sigma once and never
-    runs the row-loop triangular solve."""
+    """validate -> reduce -> frontier -> mc_covar -> constrained solves on the
+    simplex and on a slice factors sigma once and never runs the row-loop
+    triangular solve."""
     calls = {"cholesky_spd": 0, "solve_cholesky": 0}
     for name in calls:
         original = getattr(linalg, name)
@@ -213,4 +214,6 @@ def test_one_factorization_from_validation_to_oracle(monkeypatch):
     r = reduce_model(m)
     points = frontier(m, r, 1.0, 3.0, 11)
     mc_covar(m, points[5].weights, McConfig(samples=100_000, seed=3))
+    minimize_constrained(ConstrainedProblem(model=m, reduced=r))
+    minimize_constrained(ConstrainedProblem(model=m, reduced=r, E=2.5))
     assert calls == {"cholesky_spd": 1, "solve_cholesky": 0}
