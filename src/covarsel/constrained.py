@@ -2,9 +2,10 @@
 
 Feasible sets are the standard simplex or its intersection with a target
 return hyperplane.  The objective ``f(x) = c'x + b sqrt(x'Qx)`` (with
-``c = a q - mu``) is convex.  ``Q`` is positive semidefinite with null space
-spanned by ``e1``, the all-in conditioning-asset portfolio (internal position
-0), so on the budget hyperplane ``f`` is smooth everywhere except at ``e1``.
+``c = a q - mu``, or ``a q`` on a slice, where ``mu'x = E`` is fixed) is
+convex.  ``Q`` is positive semidefinite with null space spanned by ``e1``,
+the all-in conditioning-asset portfolio (internal position 0), so on the
+budget hyperplane ``f`` is smooth everywhere except at ``e1``.
 
 Since ``Q e1 = 0``, ``f`` is affine along every segment from ``e1``.  When
 ``e1`` is feasible (the simplex, or the slice at the conditioning asset's own
@@ -125,24 +126,34 @@ def _slice_seed(mu: np.ndarray, target: float):
     return x, free
 
 
-def _rank(svals: np.ndarray) -> int:
-    return int(np.sum(svals > RANK_RTOL * svals[0])) if svals.size else 0
+def _linear_term(problem: ConstrainedProblem) -> np.ndarray:
+    """``c`` of the objective: ``a q - mu``, or ``a q`` on a slice, where
+    ``mu'x = E`` is constant and a huge return would void the dual test."""
+    c = problem.model.risk.a * problem.reduced.q
+    return c if problem.E is not None else c - problem.model.mu
+
+
+def _independent_rows(sub) -> int:
+    """Rank of the free rows ``sub`` (ones, then on a slice ``mu_F``): 1 when
+    ``mu_F`` spreads by at most RANK_RTOL times its largest magnitude."""
+    mu_f = sub[-1]
+    return 1 + int(sub.shape[0] == 2 and np.ptp(mu_f) > RANK_RTOL * np.abs(mu_f).max())
 
 
 def _gradient(c, big_q, b_risk, x):
-    """Gradient of ``f`` at ``x``.  Where ``x'Qx < QUAD_FLOOR`` (``x`` on the
-    ray of ``e1``) the square-root term has none, and its zero subgradient is
-    taken."""
+    """Gradient of ``f`` at ``x``.  Where ``x'Qx = 0`` (``x`` on the ray of
+    ``e1``) the square-root term has none, and its zero subgradient is taken;
+    near that ray its gradient is still of order one."""
     qx = big_q @ x
     quad = float(x @ qx)
-    if quad < QUAD_FLOOR:
+    if quad <= 0.0:
         return c
     return c + b_risk * qx / math.sqrt(quad)
 
 
 def _face_step(cf, pf, b_risk, sub, y0):
     """Move from ``y0`` towards the minimum of ``cf'y + b sqrt(y'Pf y)`` on
-    ``{A y = A y0}``, ``A`` being the first ``rank`` rows of ``sub``.  It lies
+    ``{A y = A y0}``, ``A`` being ``sub``'s independent rows.  It lies
     at ``y_r + tau y_c``: one solve of ``K = [[Pf, A'], [A, 0]]``, refined once
     for badly scaled returns, gives ``y_r`` from ``[0; A y0]`` and ``y_c`` from
     ``[-cf; 0]``, and ``tau = sqrt(p0 / (b^2 - p2))`` with ``p0 = y_r'Pf y_r``
@@ -154,10 +165,9 @@ def _face_step(cf, pf, b_risk, sub, y0):
     infimum it never attains, along ``y0 + t y_c``.  Raises NumericalBreakdown
     when ``K`` is singular or ``p0`` or ``p2`` is negative (lost definiteness).
     """
-    a_rows = sub[:_rank(np.linalg.svd(sub, compute_uv=False))]
+    a_rows = sub[:_independent_rows(sub)]
     k, rank = y0.shape[0], a_rows.shape[0]
-    kkt = np.zeros((k + rank, k + rank))
-    kkt[:k, :k], kkt[:k, k:], kkt[k:, :k] = pf, a_rows.T, a_rows
+    kkt = np.block([[pf, a_rows.T], [a_rows, np.zeros((rank, rank))]])
     rhs = np.zeros((k + rank, 2))
     rhs[k:, 0], rhs[:k, 1] = a_rows @ y0, -cf
     try:
@@ -179,27 +189,29 @@ def _bound_duals(g, rows, free):
     """Stationarity residual on the free coordinates, the smallest multiplier
     of the other bounds, and the bounds to release when it is negative.
 
-    The row multipliers fit ``g`` on the free coordinates in least squares.
-    When every free asset returns exactly the slice target, the free rows are
-    rank deficient and the row multipliers keep one degree of freedom ``s``.
-    It is spent on making the smallest bound multiplier ``d_i - s e_i`` as
-    large as possible.  That maximum is set by one bound with ``e_i = 0`` or
-    by a pair with ``e_i > 0 > e_j``, which are then released together; it is
-    infinite when all ``e_i`` share one strict sign.
+    The row multipliers fit ``g_F`` in least squares: its mean plus, on a
+    slice, a slope on the centred returns ``e = mu - mean(mu_F)``.  When
+    ``mu_F`` does not vary, the bound multipliers ``d_i - s e_i`` keep one
+    degree of freedom ``s``, spent on making the smallest as large as
+    possible.  That maximum is set by one bound with ``e_i = 0`` or by a pair
+    with ``e_i > 0 > e_j``, which are then released together; it is infinite
+    when all ``e_i`` share one strict sign.
     """
-    sub = rows[:, free]
-    u, svals, vt = np.linalg.svd(sub)
-    rank = _rank(svals)
-    lam = u[:, :rank] @ ((vt[:rank] @ g[free]) / svals[:rank])
-    resid = float(np.abs(g[free] - sub.T @ lam).max(initial=0.0))
+    rank = _independent_rows(rows[:, free])
+    centred = rows[-1] - rows[-1, free].mean()
+    fit = np.full(g.shape[0], g[free].mean())
+    if rank == 2:
+        unit = centred / np.abs(centred[free]).max()
+        fit += unit * ((unit[free] @ g[free]) / (unit[free] @ unit[free]))
+    resid = float(np.abs(g[free] - fit[free]).max(initial=0.0))
     bound = np.flatnonzero(~free)
     if bound.size == 0:
         return resid, 0.0, ()
-    duals = g[bound] - rows[:, bound].T @ lam
+    duals = g[bound] - fit[bound]
     if rank == rows.shape[0]:
         k = int(np.argmin(duals))
         return resid, float(duals[k]), (int(bound[k]),)
-    slope = rows[:, bound].T @ u[:, rank]
+    slope = centred[bound]
     tol = RANK_RTOL * float(np.abs(rows).max())
     up, down = np.flatnonzero(slope > tol), np.flatnonzero(slope < -tol)
     options = [(float(duals[k]), (k,)) for k in np.flatnonzero(np.abs(slope) <= tol)]
@@ -215,12 +227,10 @@ def _bound_duals(g, rows, free):
 
 
 def _active_set(c, big_q, b_risk, rows, x, free, budget):
-    """Primal active-set minimization over ``{x >= 0, rows x = rows x_start}``.
-
-    Starts from the feasible ``x`` with the bounds outside ``free`` fixed at
-    zero.  The objective must be smooth and strictly convex on the polytope.
-    Returns the minimizer and the rounds used; raises NoConvergence when the
-    budget runs out.
+    """Primal active-set minimization over ``{x >= 0, rows x = rows x_start}``
+    from the feasible ``x``, the bounds outside ``free`` fixed at zero.  The
+    objective must be smooth and strictly convex on the polytope.  Returns the
+    minimizer and the rounds used; raises NoConvergence when the budget runs out.
     """
     x, free = x.copy(), free.copy()
     for rounds in range(1, budget + 1):
@@ -282,15 +292,14 @@ def minimize_constrained(problem: ConstrainedProblem) -> ConstrainedSolution:
     form turns negative (ill-conditioned inputs).
     """
     m, r = problem.model, problem.reduced
-    c = m.risk.a * r.q - m.mu
+    c = _linear_term(problem)
     b_risk = m.risk.b
     budget = ROUNDS_PER_ASSET * m.n
     rows, rhs = _rows(m.mu, problem.E)
     multiple = False
     if problem.E is None or abs(problem.E - m.mu[0]) <= TARGET_SLACK:  # e1 is feasible
         facet, rounds = _facet_minimum(c, r.Q, b_risk, m.mu, problem.E, budget)
-        x = np.zeros(m.n)
-        x[0] = 1.0
+        x = np.eye(1, m.n)[0]
         value = _raw_value(m, r, x)
         facet_value = math.inf if facet is None else _raw_value(m, r, facet)
         multiple = abs(facet_value - value) <= TIE_RTOL * max(1.0, abs(value))
@@ -322,7 +331,7 @@ def kkt_certificate(problem: ConstrainedProblem, x):
     ``(0, facet minimum - f(e1))``, non-negative exactly when ``e1`` is optimal.
     """
     m, r = problem.model, problem.reduced
-    c = m.risk.a * r.q - m.mu
+    c = _linear_term(problem)
     xi = m.to_internal(x)
     if float(xi @ r.Q @ xi) < QUAD_FLOOR:
         facet, _ = _facet_minimum(c, r.Q, m.risk.b, m.mu, problem.E, ROUNDS_PER_ASSET * m.n)

@@ -34,18 +34,6 @@ WEIGHT_SUM_TOL = 1e-12
 MU_SPAN_RTOL = 1e-12  # smallest return spread, relative to max(1, max |mu|)
 
 _SQRT2 = math.sqrt(2.0)
-_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
-
-# Acklam's rational minimax coefficients for the inverse standard normal CDF.
-_ACK_A = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-          1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
-_ACK_B = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-          6.680131188771972e+01, -1.328068155288572e+01)
-_ACK_C = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-          -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
-_ACK_D = (7.784695709041462e-03, 3.224671290700398e-01,
-          2.445134137142996e+00, 3.754408661907416e+00)
-_ACK_SPLIT = 0.02425
 
 
 def standard_normal_cdf(z: float) -> float:
@@ -53,44 +41,13 @@ def standard_normal_cdf(z: float) -> float:
     return 0.5 * math.erfc(-z / _SQRT2)
 
 
-def standard_normal_pdf(z: float) -> float:
-    return _INV_SQRT_2PI * math.exp(-0.5 * z * z)
-
-
 def normal_quantile(p: float) -> float:
-    """Inverse CDF of the standard normal distribution.
-
-    Rational initial guess (Acklam) followed by two Newton corrections against
-    the erfc-based CDF; absolute error is well below 1e-10 across (0, 1).
-    """
+    """Inverse CDF of N(0, 1); ``statistics`` is imported here, off the import path."""
     if not (isinstance(p, (int, float)) and math.isfinite(p) and 0.0 < p < 1.0):
         raise DomainError(f"quantile level must lie strictly in (0, 1), got {p!r}")
-    p = float(p)
-    if p == 0.5:
-        return 0.0
-    if p < _ACK_SPLIT:
-        u = math.sqrt(-2.0 * math.log(p))
-        z = ((((( _ACK_C[0] * u + _ACK_C[1]) * u + _ACK_C[2]) * u + _ACK_C[3]) * u
-              + _ACK_C[4]) * u + _ACK_C[5]) / \
-            ((((_ACK_D[0] * u + _ACK_D[1]) * u + _ACK_D[2]) * u + _ACK_D[3]) * u + 1.0)
-    elif p > 1.0 - _ACK_SPLIT:
-        u = math.sqrt(-2.0 * math.log(1.0 - p))
-        z = -(((((_ACK_C[0] * u + _ACK_C[1]) * u + _ACK_C[2]) * u + _ACK_C[3]) * u
-               + _ACK_C[4]) * u + _ACK_C[5]) / \
-            ((((_ACK_D[0] * u + _ACK_D[1]) * u + _ACK_D[2]) * u + _ACK_D[3]) * u + 1.0)
-    else:
-        u = p - 0.5
-        r = u * u
-        z = (((((_ACK_A[0] * r + _ACK_A[1]) * r + _ACK_A[2]) * r + _ACK_A[3]) * r
-              + _ACK_A[4]) * r + _ACK_A[5]) * u / \
-            (((((_ACK_B[0] * r + _ACK_B[1]) * r + _ACK_B[2]) * r + _ACK_B[3]) * r
-              + _ACK_B[4]) * r + 1.0)
-    for _ in range(2):
-        pdf = standard_normal_pdf(z)
-        if pdf <= 0.0:
-            break
-        z -= (standard_normal_cdf(z) - p) / pdf
-    return z
+    from statistics import NormalDist
+
+    return NormalDist().inv_cdf(float(p))
 
 
 @dataclass(frozen=True)

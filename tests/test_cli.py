@@ -504,6 +504,26 @@ def test_constrained_gradient_on_e1_ray(tmp_path):
     assert np.allclose([record["w1"], record["w2"]], [1.0, 0.0], rtol=0.0, atol=1e-10)
 
 
+def test_constrained_huge_return_keeps_the_dual_test(tmp_path):
+    """A return of 1e9 on the slice E = -0.377: the point (2.63e-10, 0,
+    1 - 2.63e-10, 0) is feasible with value 1.377.  A linear term holding
+    -mu put 1e9 into the dual test's scale, so the solver stopped at
+    (4.2e-10, 0, 0, 1) with value 1.877 and exit 0."""
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({
+        "mu": [1e9, 0.35, -0.64, -0.8], "sigma": np.eye(4).tolist(),
+        "conditioning_asset": 3, "risk": {"a": 1.0, "b": 1.5},
+        "constraints": {"non_negative": True}}))
+    err = io.StringIO()
+    with redirect_stderr(err):
+        code, out = run_cli(["constrained", "--scenario", str(path), "--non-negative",
+                             "--E=-0.377", "--format", "json"])
+    assert code == 0, err.getvalue()
+    record = json.loads(out)
+    assert record["value"] <= 1.377 + 1e-9
+    assert record["kkt_min_dual"] is not None and 0.0 <= record["kkt_min_dual"] < math.inf
+
+
 def test_unexpected_exception_exit_three(scenario_dir, monkeypatch):
     """An exception covarsel does not raise on purpose still ends in exit 3
     with one error line, not a traceback."""

@@ -13,7 +13,7 @@ from covarsel import (ConstrainedProblem, InfeasibleSlice, MarketModel, NoConver
 from covarsel.constrained import _face_step
 from conftest import _pair
 from helpers import (covar_value_raw, random_model, random_model_delta, sample_slice,
-                     slice_min_oracle)
+                     slice_min_oracle, slice_vertices)
 
 
 class TestProjectSimplex:
@@ -318,17 +318,30 @@ class TestFaceStep:
             _face_step(np.array([1.0, -1.0]), -np.eye(2), 1.0, row, y0)
 
 
-@pytest.mark.parametrize("seed, floor", [(3, 157), (4, 163), (5, 180)])
+def _values_from_sigma(mu, sigma, cond, a, b, points):
+    """Objective at each row of ``points`` (caller's order) from sigma alone:
+    ``q = sigma e_c / sigma_c`` and ``Q = sigma - q q'``, whose row and column
+    ``c`` are zero in exact arithmetic and are set so."""
+    q = sigma[:, cond] / math.sqrt(sigma[cond, cond])
+    big_q = sigma - np.outer(q, q)
+    big_q[cond, :] = big_q[:, cond] = 0.0
+    quad = np.einsum("ij,jk,ik->i", points, big_q, points)
+    return -points @ mu + a * points @ q + b * np.sqrt(np.maximum(quad, 0.0))
+
+
+@pytest.mark.parametrize("seed, floor", [(3, 162), (4, 160), (5, 170)])
 def test_badly_scaled_slices(seed, floor):
     """Slices of random n = 2-5 markets with one return scaled by 10^1 to
-    10^29 and the target between the other returns.  The floors are the
-    counts of the 400 draws that the earlier null-space face step (an SVD
-    basis, N'QN and a second Cholesky per round) solved on these same draws;
-    the KKT face step solves 174, 176 and 188.  Every failure must be
-    NoConvergence or NumericalBreakdown."""
+    10^29 and the target between the other returns.  Every answer must be no
+    worse than the slice's vertices and 200 Dirichlet mixtures of them by more
+    than 1e-9 max(1, |best|), with the objective evaluated from sigma.  Every
+    failure must be NoConvergence or NumericalBreakdown.  The floors are the
+    counts of the 400 draws that the solver with an SVD rank test and -mu in
+    its linear term answered within that check (it solved 174, 176 and 188,
+    12, 16 and 18 of them wrongly)."""
     rng = np.random.default_rng(seed)
     solved = 0
-    for _ in range(400):
+    for draw in range(400):
         n = int(rng.integers(2, 6))
         mat = rng.normal(size=(n, n))
         sigma = mat @ mat.T + 0.5 * np.trace(mat @ mat.T) / n * np.eye(n)
@@ -337,12 +350,17 @@ def test_badly_scaled_slices(seed, floor):
         mu[scaled] *= 10.0 ** int(rng.integers(1, 30))
         others = np.delete(mu, scaled)
         target = float(rng.uniform(others.min(), others.max()))
-        m = validate_model(MarketModel(mu=mu, sigma=sigma,
-                                       conditioning_asset=int(rng.integers(1, n + 1)),
+        cond = int(rng.integers(1, n + 1))
+        m = validate_model(MarketModel(mu=mu, sigma=sigma, conditioning_asset=cond,
                                        risk=RiskParams(a=1.0, b=1.5)))
         try:
-            minimize_constrained(ConstrainedProblem(model=m, reduced=reduce_model(m), E=target))
+            sol = minimize_constrained(ConstrainedProblem(model=m, reduced=reduce_model(m), E=target))
         except (NoConvergence, NumericalBreakdown):
             continue
+        samples = sample_slice(np.random.default_rng([seed, draw]), mu, target, size=200)
+        points = np.vstack([sol.x, slice_vertices(mu, target), samples])
+        values = _values_from_sigma(mu, sigma, cond - 1, 1.0, 1.5, points)
+        best = float(values[1:].min())
+        assert values[0] <= best + 1e-9 * max(1.0, abs(best)), (seed, draw, values[0], best)
         solved += 1
     assert solved >= floor
