@@ -16,9 +16,10 @@ separates three regimes:
 
 The minimizer is affine in (E_hat, |E_hat|) with two vectors fixed per model,
 and ``reduce_model`` keeps the two solves behind them, so a solve costs no
-factorization: ``frontier`` evaluates its whole grid as one rank-2 product
-and rechecks every row in one batched call, and ``solve_critical`` is the
-one-row case of the same kernel.
+factorization: ``frontier`` evaluates its whole grid as one rank-2 product,
+and ``solve_critical`` is the one-row case of the same kernel.  Every row is
+a combination of three vectors, ``e_Y`` and the two directions, so the risk
+recheck reads all rows off their 3 x 3 Gram matrices in O(n^2).
 
 In the degenerate regimes the solver returns an explicit feasible ray along
 which the objective decreases (to the infimum, or without bound), so the
@@ -50,6 +51,9 @@ DELTA_RTOL = 1e-12
 CHECK_RTOL = 1e-9
 CONSTRAINT_TOL = 1e-10
 TARGET_SLACK = 1e-12  # a return this far below a threshold still meets it
+# Least tolerance scale for Delta; it acts only when b^2 alpha_C and
+# a^2 |detG| both fall below it.
+DELTA_SCALE_FLOOR = 1e-300
 
 
 class SolveStatus(str, Enum):
@@ -129,7 +133,7 @@ class CriticalSolution:
 
 def _delta_regime(r: ReducedModel) -> int:
     """+1 unique, 0 infimum, -1 unbounded, judged at relative tolerance."""
-    scale = max(r.b * r.b * r.alpha_C, r.a * r.a * abs(r.detG), 1e-300)
+    scale = max(r.b * r.b * r.alpha_C, r.a * r.a * abs(r.detG), DELTA_SCALE_FLOOR)
     if r.Delta > DELTA_RTOL * scale:
         return 1
     if r.Delta < -DELTA_RTOL * scale:
@@ -203,45 +207,58 @@ def _embed(x_hat: np.ndarray) -> np.ndarray:
     return np.column_stack((1.0 - x_hat.sum(axis=1), x_hat))
 
 
-def _unique_critical(m: ValidatedModel, r: ReducedModel, e_hat: np.ndarray):
+def _closed_form(m: ValidatedModel, r: ReducedModel, e_hat: np.ndarray):
     """Minimizers and optimal values at every excess return in ``e_hat``
-    (Delta > 0), checked by ``_recheck``.
+    (Delta > 0), unchecked.
 
     Each minimizer is ``E_hat u + |E_hat| w`` with ``u = Qhat^-1 mu_hat / alpha_C``
     and ``w`` fixed per model, so the rows are one rank-2 product.  Returns
-    internal weights (one row per target) and the values.
+    the reduced weights (one row per target), the same rows in internal
+    weights as ``coeffs @ basis`` with basis rows e_Y and the two directions
+    lifted to sum to zero, and the values.
     """
     a = m.risk.a
     root = math.sqrt(r.Delta)
+    slope = e_hat / r.alpha_C
     coef = np.abs(e_hat) * a / (r.alpha_C * root)
-    x_hat = np.outer(e_hat / r.alpha_C, r.qinv_mu) \
-        + np.outer(coef, r.beta_C * r.qinv_mu - r.alpha_C * r.qinv_qh)
+    w = r.beta_C * r.qinv_mu - r.alpha_C * r.qinv_qh
+    x_hat = np.outer(slope, r.qinv_mu) + np.outer(coef, w)
     x_hat[e_hat == 0.0] = 0.0
+    coeffs = np.array((np.ones_like(slope), slope, coef)).T
+    basis = np.zeros((3, m.n))
+    basis[0, 0] = 1.0
+    basis[1:, 1:] = (r.qinv_mu, w)
+    basis[1:, 0] = -basis[1:, 1:].sum(axis=1)
     values = -m.mu1 + a * m.sigma1 \
         + e_hat * (a * r.beta_C / r.alpha_C - 1.0) + np.abs(e_hat) / r.alpha_C * root
-    return _recheck(m, r, e_hat, x_hat, values), values
+    return x_hat, coeffs, basis, values
 
 
-def _recheck(m: ValidatedModel, r: ReducedModel, e_hat: np.ndarray,
-             x_hat: np.ndarray, values: np.ndarray) -> np.ndarray:
+def _unique_critical(m: ValidatedModel, r: ReducedModel, e_hat: np.ndarray):
+    """``_closed_form`` checked by ``_recheck``: internal weights and values."""
+    x_hat, coeffs, basis, values = _closed_form(m, r, e_hat)
+    return _recheck(m, r, e_hat, x_hat, coeffs, basis, values), values
+
+
+def _recheck(m: ValidatedModel, r: ReducedModel, e_hat: np.ndarray, x_hat: np.ndarray,
+             coeffs: np.ndarray, basis: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Check closed-form rows and return them as internal weights.
 
     Every row of reduced weights must meet its return constraint to
-    CONSTRAINT_TOL, and its closed-form value must match re-evaluation
-    through both risk routes to CHECK_RTOL; each test fails on NaN.  Raises
-    NumericalBreakdown otherwise.
+    CONSTRAINT_TOL, and its closed-form value must match re-evaluation of
+    ``coeffs @ basis`` through both risk routes to CHECK_RTOL; each test fails
+    on NaN.  Raises NumericalBreakdown otherwise.
     """
     if not np.all(np.abs(x_hat @ r.mu_hat - e_hat)
                   <= CONSTRAINT_TOL * np.maximum(1.0, np.abs(e_hat))):
         raise NumericalBreakdown("critical solve violated the return constraint")
-    x_int = _embed(x_hat)
-    recheck = _covar_rows(m, r, x_int)[3]
+    recheck = _covar_rows(m, r, coeffs, basis)[3]
     i = _first(~(np.abs(recheck - values) <= CHECK_RTOL * np.maximum(1.0, np.abs(values))))
     if i is not None:
         raise NumericalBreakdown(
             f"closed-form value {float(values[i])!r} disagrees with "
             f"re-evaluation {float(recheck[i])!r}")
-    return x_int
+    return _embed(x_hat)
 
 
 def _ray(m: ValidatedModel, r: ReducedModel, e_hat: float):
@@ -329,8 +346,8 @@ def frontier(m: ValidatedModel, r: ReducedModel, e_min: float, e_max: float,
     Requires Delta > 0, dependent (1, mu, q) included; points are flagged
     efficient by ``classify_efficiency`` and labelled by
     ``solvability_status``.  The whole grid is solved as one batch and
-    rechecked in one call, with the same per-point checks as
-    ``solve_critical``; each point equals ``solve_critical`` at its target.
+    rechecked through its three basis vectors, with the same per-point checks
+    as ``solve_critical``; each point equals ``solve_critical`` at its target.
     Output is ordered by E.
     """
     grid = target_grid(e_min, e_max, steps)

@@ -5,14 +5,21 @@ factor is accepted only if every pivot ``diag(L)**2`` stays above
 ``tol_scale * max(diag)``.  That makes "positive definite" a deterministic,
 reproducible predicate with no eigensolver involved.
 
-The closed-form path factors each market once (``ValidatedModel.chol``) and
-solves through ``np.linalg.solve``, as the constrained solver's face step does.
-Nothing in covarsel calls the row-loop ``solve_cholesky``; the bench traces it.
+The closed-form path factors each market once (``ValidatedModel.chol``);
+``solve_cholesky`` solves on such a factor in O(n^2) by blocked forward and
+back substitution (Golub and Van Loan, *Matrix Computations*, section 3.1):
+numpy has no triangular solve, so each diagonal block of SOLVE_BLOCK rows is
+solved by ``np.linalg.solve`` and one BLAS product carries it to the rest.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+# Rows per diagonal block of the substitution.  Each block costs two
+# np.linalg.solve calls, whose overhead outweighs their arithmetic; at
+# n = 300, 32 rows timed faster than 16, 48 or 64.
+SOLVE_BLOCK = 32
 
 
 class PivotFailure(ValueError):
@@ -44,13 +51,20 @@ def cholesky_spd(a: np.ndarray, tol_scale: float) -> np.ndarray:
     return low
 
 
-def solve_cholesky(low: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve ``(L L^T) x = rhs`` given the lower factor ``L``."""
+def solve_cholesky(low: np.ndarray, rhs) -> np.ndarray:
+    """Solve ``(L L^T) x = rhs`` given the lower factor ``L``; ``rhs`` is a
+    vector or one right-hand side per column."""
+    x = np.array(rhs, dtype=float)
     n = low.shape[0]
-    y = np.empty(n)
-    for i in range(n):
-        y[i] = (rhs[i] - low[i, :i] @ y[:i]) / low[i, i]
-    x = np.empty(n)
-    for i in range(n - 1, -1, -1):
-        x[i] = (y[i] - low[i + 1:, i] @ x[i + 1:]) / low[i, i]
+    starts = range(0, n, SOLVE_BLOCK)
+    for s in starts:
+        e = s + SOLVE_BLOCK
+        x[s:e] = np.linalg.solve(low[s:e, s:e], x[s:e])
+        if e < n:
+            x[e:] -= low[e:, s:e] @ x[s:e]
+    for s in reversed(starts):
+        e = s + SOLVE_BLOCK
+        if e < n:
+            x[s:e] -= low[e:, s:e].T @ x[e:]
+        x[s:e] = np.linalg.solve(low[s:e, s:e].T, x[s:e])
     return x

@@ -239,7 +239,7 @@ def grid_minimize(m: ValidatedModel, r: ReducedModel, feasible, resolution: floa
     if points.shape[0] == 0:
         raise DomainError("feasible grid is empty")
     best_x, best_val = _batched_argmin(chunks_from(points),
-                                       lambda pts: _raw_rows(m, r, pts)[0])
+                                       lambda pts: _raw_rows(m, r, pts))
     return m.to_original(best_x), best_val
 
 

@@ -11,15 +11,15 @@ The Gramian of ``mu_hat`` and ``q_hat`` under the ``Qhat``-inverse inner
 product supplies the scalars ``alpha_C, beta_C, gamma_C`` and ``detG``; the
 sign of the discriminant ``Delta = b^2 alpha_C - a^2 detG`` decides whether a
 minimum-risk portfolio exists for a given target return.  The two solves
-behind it, ``Qhat^-1 mu_hat`` and ``Qhat^-1 q_hat``, come from one LAPACK
-call on the stacked right-hand sides and are kept: every closed-form
-portfolio of the model is a combination of them.
+behind it, ``Qhat^-1 mu_hat`` and ``Qhat^-1 q_hat``, are kept: every
+closed-form portfolio of the model is a combination of them.
 
 ``Qhat = sigma_22 - sigma_21 sigma_12 / sigma_11`` is the Schur complement of
 ``sigma_11`` in sigma, so its Cholesky factor is the trailing block of the
 factor ``ValidatedModel.chol`` that validation already computed.  Those
 trailing pivots passed the floor ``1e-10 max diag(sigma)``, which is at least
-Qhat's own, so Qhat is never factored again.
+Qhat's own, so Qhat is never factored again: both solves are one O(n^2)
+substitution on that block, with the two right-hand sides stacked.
 
 When the ones vector, mu and q are linearly dependent, ``q_hat`` is parallel
 to ``mu_hat`` and ``detG = 0``.  ``ReducedModel.independent`` reports whether
@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericalBreakdown
-from .linalg import PivotFailure
+from .linalg import PivotFailure, solve_cholesky
 from .model import ValidatedModel
 
 DEPENDENCE_RTOL = 1e-10
@@ -95,14 +95,14 @@ def reduce_model(m: ValidatedModel) -> ReducedModel:
     qhat = big_q[1:, 1:]
 
     try:
-        m.chol
+        low = m.chol
     except PivotFailure as exc:
         raise NumericalBreakdown(
             f"covariance lost positive definiteness: {exc}") from exc
 
     mu_hat = m.mu[1:] - m.mu[0]
     q_hat = q[1:] - q[0]
-    u, v = np.linalg.solve(qhat, np.column_stack((mu_hat, q_hat))).T
+    u, v = solve_cholesky(low[1:, 1:], np.column_stack((mu_hat, q_hat))).T
     alpha_c = float(mu_hat @ u)
     beta_c = float(mu_hat @ v)
     gamma_c = float(q_hat @ v)

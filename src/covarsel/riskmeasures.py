@@ -11,8 +11,9 @@ The conditional value-at-risk has two forms:
 form takes rho from ``x'q`` and ``1 - rho^2`` from ``x'Qx``, so the two agree
 up to rounding even when ``q`` or ``Q`` is wrong: the comparison catches a
 NaN, a volatility that is not positive, |rho| > 1 and ``x'Qx > x'sigma x``.
-It works row by row, so the closed-form frontier rechecks a whole grid in
-one call.
+It takes its rows as combinations ``coeffs @ basis`` of a few basis vectors
+and reads every quadratic off the basis' Gram matrices, so the closed-form
+frontier rechecks a whole grid, whose rows span three vectors, in O(n^2).
 """
 
 from __future__ import annotations
@@ -45,16 +46,19 @@ class PortfolioReport:
     covar: float
 
 
-def _raw_rows(m: ValidatedModel, r: ReducedModel, xi: np.ndarray):
-    """Reduced-route objective of each row of ``xi`` (internal order), with
-    the quadratic ``x'Qx`` it took the root of."""
-    quad = np.einsum("ij,ij->i", xi @ r.Q, xi)
+def _reduced_form(m: ValidatedModel, expected, xq, quad):
+    """The reduced-route objective from ``x'mu``, ``x'q`` and ``x'Qx``."""
     root = np.sqrt(np.where(quad < QUAD_FLOOR, 0.0, quad))
-    return -(xi @ m.mu) + m.risk.a * (xi @ r.q) + m.risk.b * root, quad
+    return -expected + m.risk.a * xq + m.risk.b * root
+
+
+def _raw_rows(m: ValidatedModel, r: ReducedModel, xi: np.ndarray):
+    """Reduced-route objective of each row of ``xi`` (internal order)."""
+    return _reduced_form(m, xi @ m.mu, xi @ r.q, np.einsum("ij,ij->i", xi @ r.Q, xi))
 
 
 def _raw_value(m: ValidatedModel, r: ReducedModel, x_int: np.ndarray) -> float:
-    return float(_raw_rows(m, r, x_int[None, :])[0][0])
+    return float(_raw_rows(m, r, x_int[None, :])[0])
 
 
 def covar_raw(m: ValidatedModel, r: ReducedModel, x) -> float:
@@ -72,9 +76,16 @@ def _first(bad: np.ndarray) -> int | None:
     return int(rows[0]) if rows.size else None
 
 
-def _covar_rows(m: ValidatedModel, r: ReducedModel, xi: np.ndarray):
-    """Both routes for every row of ``xi``: budget-feasible portfolios in
-    internal order, one per row.
+def _gram_rows(coeffs: np.ndarray, basis: np.ndarray, mat: np.ndarray) -> np.ndarray:
+    """``x' mat x`` for every row x of ``coeffs @ basis``, through the basis'
+    Gram matrix."""
+    return np.einsum("ij,ij->i", coeffs @ (basis @ mat @ basis.T), coeffs)
+
+
+def _covar_rows(m: ValidatedModel, r: ReducedModel, coeffs: np.ndarray, basis: np.ndarray):
+    """Both routes for every row of ``coeffs @ basis``: budget-feasible
+    portfolios in internal order, one per row of ``coeffs`` (k x p), spanned
+    by the p rows of ``basis`` (p x n).
 
     Returns arrays ``(expected, sigma, rho, value)`` with the reduced-route
     value.  Raises NumericalBreakdown where a row's volatility is not positive
@@ -82,14 +93,16 @@ def _covar_rows(m: ValidatedModel, r: ReducedModel, xi: np.ndarray):
     where |rho| > 1 + RHO_TOL.  Each test is written to fail on NaN.
     """
     a, b = m.risk.a, m.risk.b
-    value, quad = _raw_rows(m, r, xi)
-    expected = xi @ m.mu
-    sigma2 = np.einsum("ij,ij->i", xi @ m.sigma, xi)
+    expected = coeffs @ (basis @ m.mu)
+    xq = coeffs @ (basis @ r.q)
+    quad = _gram_rows(coeffs, basis, r.Q)
+    value = _reduced_form(m, expected, xq, quad)
+    sigma2 = _gram_rows(coeffs, basis, m.sigma)
     sigma = np.sqrt(np.maximum(0.0, sigma2))
     i = _first(~(sigma > 0.0))
     if i is not None:
         raise NumericalBreakdown(f"portfolio volatility {float(sigma[i])!r} is not positive")
-    rho = (xi @ r.q) / sigma
+    rho = xq / sigma
     i = _first(~(np.abs(rho) <= 1.0 + RHO_TOL))
     if i is not None:
         raise DomainError(f"correlation out of range: {float(rho[i])!r}")
@@ -116,7 +129,8 @@ def covar_portfolio(m: ValidatedModel, r: ReducedModel, x) -> PortfolioReport:
     total = float(xi.sum())
     if not abs(total - 1.0) <= WEIGHT_SUM_TOL * max(1.0, abs(total)):
         raise DomainError(f"portfolio weights sum to {total!r}, expected 1")
-    expected, sigma, rho, value = (float(v[0]) for v in _covar_rows(m, r, xi[None, :]))
+    expected, sigma, rho, value = (float(v[0])
+                                   for v in _covar_rows(m, r, np.ones((1, 1)), xi[None, :]))
     return PortfolioReport(E=expected, sigma=sigma, var_alpha=-expected + m.risk.a * sigma,
                            rho=rho, covar=value)
 

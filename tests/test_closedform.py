@@ -12,7 +12,8 @@ from covarsel import (EfficiencyClass, LemmaParams, NumericalBreakdown,
                       lemma_minimize, markowitz_frontier,
                       point_is_efficient,
                       solve_critical, validate_model, MarketModel)
-from covarsel.closedform import FrontierPoint, _recheck, _unique_critical
+from covarsel.closedform import FrontierPoint, _closed_form, _recheck
+from covarsel.riskmeasures import _covar_rows, _gram_rows, _raw_rows
 from helpers import (covar_value_raw, golden_section, near_dependent_model, random_model,
                      random_model_delta)
 
@@ -600,17 +601,39 @@ class TestBatchedRecheck:
         with pytest.raises(NumericalBreakdown):
             solve_critical(m, bad, m.mu1 + 1.0)
 
-    @pytest.mark.parametrize("where", ["value", "weight"])
+    @pytest.mark.parametrize("where", ["value", "coeff", "weight"])
     def test_nan_row_fails(self, where):
         m, r = random_model_delta(np.random.default_rng(52), +1, n=10)
         e_hat = np.linspace(-1.0, 1.0, 101)
-        x_int, values = _unique_critical(m, r, e_hat)
-        x_hat = x_int[:, 1:].copy()
-        _recheck(m, r, e_hat, x_hat, values)
+        x_hat, coeffs, basis, values = (a.copy() for a in _closed_form(m, r, e_hat))
+        _recheck(m, r, e_hat, x_hat, coeffs, basis, values)
         if where == "value":
-            values = values.copy()
             values[37] = math.nan
+        elif where == "coeff":
+            coeffs[37, 2] = math.nan
         else:
             x_hat[37, 2] = math.nan
         with pytest.raises(NumericalBreakdown):
-            _recheck(m, r, e_hat, x_hat, values)
+            _recheck(m, r, e_hat, x_hat, coeffs, basis, values)
+
+    @pytest.mark.parametrize("n", [3, 30, 300])
+    def test_basis_values_equal_direct_rows(self, n):
+        """Read off the 3 x 3 Gram matrices, the recheck gives the values of
+        ``_raw_rows`` on the emitted weights."""
+        rng = np.random.default_rng(53 + n)
+        for _ in range(3):
+            m, r = random_model_delta(rng, +1, n=n)
+            span = float(np.ptp(m.mu))
+            e_hat = np.linspace(-span, span, 101)
+            parts = _closed_form(m, r, e_hat)
+            via_basis = _covar_rows(m, r, *parts[1:3])[3]
+            direct = _raw_rows(m, r, _recheck(m, r, e_hat, *parts))
+            assert np.all(np.abs(via_basis - direct) <= 1e-12 * np.maximum(1.0, np.abs(direct)))
+
+    def test_e_y_row_has_zero_quadratic(self):
+        m, r = random_model_delta(np.random.default_rng(54), +1, n=30)
+        e_hat = np.linspace(-1.0, 1.0, 101)
+        assert e_hat[50] == 0.0
+        _, coeffs, basis, _ = _closed_form(m, r, e_hat)
+        assert coeffs[50].tolist() == [1.0, 0.0, 0.0]
+        assert _gram_rows(coeffs, basis, r.Q)[50] == 0.0

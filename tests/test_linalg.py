@@ -1,10 +1,11 @@
 """The LAPACK-backed Cholesky keeps the positive-definiteness verdict of the
-row-loop factorization it replaced, right at the relative pivot floor."""
+row-loop factorization it replaced, right at the relative pivot floor, and
+the blocked substitution on its factor solves like a dense solve."""
 
 import numpy as np
 import pytest
 
-from covarsel.linalg import PivotFailure, cholesky_spd
+from covarsel.linalg import SOLVE_BLOCK, PivotFailure, cholesky_spd, solve_cholesky
 from covarsel.model import PD_PIVOT_SCALE
 
 
@@ -65,3 +66,17 @@ def test_indefinite_and_accepted_factor():
     low = cholesky_spd(b, PD_PIVOT_SCALE)
     assert np.allclose(low, row_loop_cholesky(b, 1e-10), rtol=1e-10, atol=1e-12)
     assert np.allclose(low @ low.T, b, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 2, SOLVE_BLOCK - 1, SOLVE_BLOCK, SOLVE_BLOCK + 1,
+                               2 * SOLVE_BLOCK + 1, 300])
+@pytest.mark.parametrize("columns", [None, 2])
+def test_blocked_solve_matches_dense_solve(n, columns):
+    rng = np.random.default_rng(n)
+    mat = rng.normal(size=(n, n))
+    a = mat @ mat.T + n * np.eye(n)
+    rhs = rng.normal(size=n if columns is None else (n, columns))
+    x = solve_cholesky(cholesky_spd(a, PD_PIVOT_SCALE), rhs)
+    ref = np.linalg.solve(a, rhs)
+    assert x.shape == rhs.shape
+    assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
