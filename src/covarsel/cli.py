@@ -80,7 +80,10 @@ class Scenario:
         constraints = raw.get("constraints", {})
         if not isinstance(constraints, dict):
             raise ScenarioError("constraints: expected an object")
-        self.non_negative = bool(constraints.get("non_negative", False))
+        self.non_negative = constraints.get("non_negative", False)
+        if not isinstance(self.non_negative, bool):
+            raise ScenarioError("constraints.non_negative: expected true or false, "
+                                f"got {self.non_negative!r}")
         self.targets = raw.get("targets", {}) or {}
         if not isinstance(self.targets, dict):
             raise ScenarioError("targets: expected an object")

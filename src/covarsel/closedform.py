@@ -14,12 +14,12 @@ separates three regimes:
 * ``Delta = 0``   a finite infimum that is approached but never attained;
 * ``Delta < 0``   the objective is unbounded below on the feasible affine set.
 
-The minimizer is affine in (E_hat, |E_hat|) with two vectors fixed per model,
-and ``reduce_model`` keeps the two solves behind them, so a solve costs no
-factorization: ``frontier`` evaluates its whole grid as one rank-2 product,
-and ``solve_critical`` is the one-row case of the same kernel.  Every row is
-a combination of three vectors, ``e_Y`` and the two directions, so the risk
-recheck reads all rows off their 3 x 3 Gram matrices in O(n^2).
+``reduce_model`` keeps the two solves behind the minimizer, so a solve costs
+no factorization.  Every closed-form portfolio and ray is a combination of one
+basis of three internal vectors, ``e_Y`` and the two directions lifted to sum
+to zero (``_basis``): ``frontier`` forms its grid from it, ``solve_critical``
+is its one-row case, and the recheck reads all rows off the basis' 3 x 3 Gram
+matrices in O(n^2).
 
 In the degenerate regimes the solver returns an explicit feasible ray along
 which the objective decreases (to the infimum, or without bound), so the
@@ -43,6 +43,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError, NumericalBreakdown, PreconditionViolated
+from .linalg import solve_cholesky
 from .model import ValidatedModel
 from .reduction import ReducedModel
 from .riskmeasures import _covar_rows, _first
@@ -181,14 +182,14 @@ def markowitz_frontier(m: ValidatedModel, targets) -> tuple[np.ndarray, float]:
     """Minimum-variance portfolios at every target return (Merton's closed form).
 
     Returns one row of weights per target, in the caller's asset order, and
-    the global minimum-variance return.  ``sigma^-1 [mu, 1]`` is one LAPACK
-    solve for all rows.
+    the global minimum-variance return.  ``sigma^-1 [mu, 1]`` is one
+    substitution on the validated factor ``m.chol`` for all rows.
     The stationarity condition puts ``sigma @ x`` in span{mu, ones}; both
     equality constraints are verified row by row to CONSTRAINT_TOL.
     """
     targets = np.asarray(targets, dtype=float)
     ones = np.ones(m.n)
-    si_mu, si_one = np.linalg.solve(m.sigma, np.column_stack((m.mu, ones))).T
+    si_mu, si_one = solve_cholesky(m.chol, np.column_stack((m.mu, ones))).T
     alpha_m, beta_m, gamma_m = float(m.mu @ si_mu), float(m.mu @ si_one), float(ones @ si_one)
     denom = alpha_m * gamma_m - beta_m * beta_m
     if denom <= 0.0:
@@ -202,54 +203,54 @@ def markowitz_frontier(m: ValidatedModel, targets) -> tuple[np.ndarray, float]:
     return m.to_original(x), beta_m / gamma_m
 
 
-def _embed(x_hat: np.ndarray) -> np.ndarray:
-    """Lift rows of reduced coordinates to full internal weight vectors."""
-    return np.column_stack((1.0 - x_hat.sum(axis=1), x_hat))
+def _basis(m: ValidatedModel, r: ReducedModel) -> np.ndarray:
+    """Internal rows ``e_Y``, ``ubar = (-1'u, u)``, ``wbar = (-1'w, w)``, with
+    ``u = Qhat^-1 mu_hat`` and ``w = beta_C u - alpha_C Qhat^-1 q_hat``."""
+    basis = np.zeros((3, m.n))
+    basis[0, 0] = 1.0
+    basis[1:, 1:] = (r.qinv_mu, r.beta_C * r.qinv_mu - r.alpha_C * r.qinv_qh)
+    basis[1:, 0] = -basis[1:, 1:].sum(axis=1)
+    return basis
+
+
+def _rows(coeffs: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """``coeffs @ basis`` term by term from ``e_Y``: no row's bits depend on the
+    other rows, and a row with zero direction coefficients is exactly ``e_Y``."""
+    return basis[0] * coeffs[:, :1] + basis[1] * coeffs[:, 1:2] + basis[2] * coeffs[:, 2:]
 
 
 def _closed_form(m: ValidatedModel, r: ReducedModel, e_hat: np.ndarray):
-    """Minimizers and optimal values at every excess return in ``e_hat``
-    (Delta > 0), unchecked.
-
-    Each minimizer is ``E_hat u + |E_hat| w`` with ``u = Qhat^-1 mu_hat / alpha_C``
-    and ``w`` fixed per model, so the rows are one rank-2 product.  Returns
-    the reduced weights (one row per target), the same rows in internal
-    weights as ``coeffs @ basis`` with basis rows e_Y and the two directions
-    lifted to sum to zero, and the values.
-    """
+    """Unchecked minimizers and optimal values at every excess return in
+    ``e_hat`` (Delta > 0): each minimizer is ``e_Y + E_hat/alpha_C ubar +
+    c(E_hat) wbar`` with ``c = |E_hat| a / (alpha_C sqrt(Delta))``.  Returns
+    the coefficients (one row per target), ``_basis`` and the values."""
     a = m.risk.a
     root = math.sqrt(r.Delta)
     slope = e_hat / r.alpha_C
     coef = np.abs(e_hat) * a / (r.alpha_C * root)
-    w = r.beta_C * r.qinv_mu - r.alpha_C * r.qinv_qh
-    x_hat = np.outer(slope, r.qinv_mu) + np.outer(coef, w)
-    x_hat[e_hat == 0.0] = 0.0
     coeffs = np.array((np.ones_like(slope), slope, coef)).T
-    basis = np.zeros((3, m.n))
-    basis[0, 0] = 1.0
-    basis[1:, 1:] = (r.qinv_mu, w)
-    basis[1:, 0] = -basis[1:, 1:].sum(axis=1)
     values = -m.mu1 + a * m.sigma1 \
         + e_hat * (a * r.beta_C / r.alpha_C - 1.0) + np.abs(e_hat) / r.alpha_C * root
-    return x_hat, coeffs, basis, values
+    return coeffs, _basis(m, r), values
 
 
 def _unique_critical(m: ValidatedModel, r: ReducedModel, e_hat: np.ndarray):
     """``_closed_form`` checked by ``_recheck``: internal weights and values."""
-    x_hat, coeffs, basis, values = _closed_form(m, r, e_hat)
-    return _recheck(m, r, e_hat, x_hat, coeffs, basis, values), values
+    coeffs, basis, values = _closed_form(m, r, e_hat)
+    return _recheck(m, r, e_hat, coeffs, basis, values), values
 
 
-def _recheck(m: ValidatedModel, r: ReducedModel, e_hat: np.ndarray, x_hat: np.ndarray,
+def _recheck(m: ValidatedModel, r: ReducedModel, e_hat: np.ndarray,
              coeffs: np.ndarray, basis: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Check closed-form rows and return them as internal weights.
+    """Form the rows ``coeffs @ basis``, check them, return them (internal order).
 
-    Every row of reduced weights must meet its return constraint to
-    CONSTRAINT_TOL, and its closed-form value must match re-evaluation of
-    ``coeffs @ basis`` through both risk routes to CHECK_RTOL; each test fails
-    on NaN.  Raises NumericalBreakdown otherwise.
+    Every row must meet its return constraint in excess space, on its
+    trailing weights, to CONSTRAINT_TOL, and its closed-form value must match
+    re-evaluation through both risk routes to CHECK_RTOL; each test fails on
+    NaN.  Raises NumericalBreakdown otherwise.
     """
-    if not np.all(np.abs(x_hat @ r.mu_hat - e_hat)
+    x = _rows(coeffs, basis)
+    if not np.all(np.abs(x[:, 1:] @ r.mu_hat - e_hat)
                   <= CONSTRAINT_TOL * np.maximum(1.0, np.abs(e_hat))):
         raise NumericalBreakdown("critical solve violated the return constraint")
     recheck = _covar_rows(m, r, coeffs, basis)[3]
@@ -258,20 +259,19 @@ def _recheck(m: ValidatedModel, r: ReducedModel, e_hat: np.ndarray, x_hat: np.nd
         raise NumericalBreakdown(
             f"closed-form value {float(values[i])!r} disagrees with "
             f"re-evaluation {float(recheck[i])!r}")
-    return _embed(x_hat)
+    return x
 
 
 def _ray(m: ValidatedModel, r: ReducedModel, e_hat: float):
     """Feasible ray along which the objective decreases in degenerate regimes.
 
-    Base point: the constrained minimizer of the quadratic part alone.  The
-    direction keeps both constraints invariant and drives the auxiliary
-    parameter of the scalar reduction to -inf at unit rate.
+    Base point ``e_Y + E_hat/alpha_C ubar``: the constrained minimizer of the
+    quadratic part alone.  The direction ``wbar / detG`` keeps both constraints
+    invariant and drives the auxiliary parameter of the scalar reduction to
+    -inf at unit rate.
     """
-    base_hat = (e_hat / r.alpha_C) * r.qinv_mu
-    dir_hat = (r.beta_C * r.qinv_mu - r.alpha_C * r.qinv_qh) / r.detG
-    base = _embed(base_hat[None, :])[0]
-    direction = np.concatenate(([-float(dir_hat.sum())], dir_hat))
+    base, direction = _rows(np.array([[1.0, e_hat / r.alpha_C, 0.0],
+                                      [0.0, 0.0, 1.0 / r.detG]]), _basis(m, r))
     return m.to_original(base), m.to_original(direction)
 
 
@@ -292,17 +292,12 @@ def solve_critical(m: ValidatedModel, r: ReducedModel, E: float) -> CriticalSolu
                                 efficiency_class=classify_efficiency(r))
 
     base, direction = _ray(m, r, e_hat)
-    if regime == 0:
-        a = m.risk.a
-        infimum = -m.mu1 + a * m.sigma1 + e_hat * (a * r.beta_C / r.alpha_C - 1.0)
-        return CriticalSolution(E_hat=e_hat, x=None, value=infimum,
-                                status=SolveStatus.INFIMUM_NOT_ATTAINED,
-                                efficiency_class=None,
-                                ray_base=base, ray_direction=direction)
-    return CriticalSolution(E_hat=e_hat, x=None, value=-math.inf,
-                            status=SolveStatus.UNBOUNDED_BELOW,
-                            efficiency_class=None,
-                            ray_base=base, ray_direction=direction)
+    a = m.risk.a
+    # The infimum when Delta = 0; the objective is unbounded below otherwise.
+    value = (-m.mu1 + a * m.sigma1 + e_hat * (a * r.beta_C / r.alpha_C - 1.0)
+             if regime == 0 else -math.inf)
+    return CriticalSolution(E_hat=e_hat, x=None, value=value, status=solvability_status(r),
+                            efficiency_class=None, ray_base=base, ray_direction=direction)
 
 
 class FrontierPoint(NamedTuple):
@@ -345,8 +340,8 @@ def frontier(m: ValidatedModel, r: ReducedModel, e_min: float, e_max: float,
 
     Requires Delta > 0, dependent (1, mu, q) included; points are flagged
     efficient by ``classify_efficiency`` and labelled by
-    ``solvability_status``.  The whole grid is solved as one batch and
-    rechecked through its three basis vectors, with the same per-point checks
+    ``solvability_status``.  The whole grid is formed from the one basis and
+    rechecked through it as one batch, with the same per-point checks
     as ``solve_critical``; each point equals ``solve_critical`` at its target.
     Output is ordered by E.
     """
@@ -356,8 +351,7 @@ def frontier(m: ValidatedModel, r: ReducedModel, e_min: float, e_max: float,
             f"frontier is defined only for Delta > 0, got Delta={r.Delta!r}")
     e_hat = grid - m.mu1
     x_int, values = _unique_critical(m, r, e_hat)
-    weights = m.to_original(x_int)
     flags = np.broadcast_to(point_is_efficient(classify_efficiency(r), e_hat), grid.shape)
     label = solvability_status(r).value
-    return [FrontierPoint(e, v, w, f, label)
-            for e, v, w, f in zip(grid.tolist(), values.tolist(), weights, flags.tolist())]
+    return [FrontierPoint(e, v, w, f, label) for e, v, w, f
+            in zip(grid.tolist(), values.tolist(), m.to_original(x_int), flags.tolist())]

@@ -324,6 +324,36 @@ def test_integral_float_scenario_steps(scenario_dir, tmp_path):
     assert len(out.splitlines()) == 4
 
 
+@pytest.mark.parametrize("flag", ["false", 0, 1, None])
+def test_non_boolean_non_negative_exit_two(scenario_dir, tmp_path, flag):
+    """constraints.non_negative must be a JSON boolean: the string "false"
+    must not switch on the no-short-selling solve."""
+    def edit(raw):
+        raw["constraints"]["non_negative"] = flag
+
+    code, out, err = _run_edited(scenario_dir, tmp_path, "example2", edit, ["constrained"])
+    assert code == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: constraints.non_negative")
+
+
+@pytest.mark.parametrize("absent", [False, True])
+def test_non_negative_false_or_absent_needs_the_flag(scenario_dir, tmp_path, absent):
+    def edit(raw):
+        if absent:
+            del raw["constraints"]["non_negative"]
+        else:
+            raw["constraints"]["non_negative"] = False
+
+    code, out, err = _run_edited(scenario_dir, tmp_path, "example2", edit, ["constrained"])
+    assert code == 2 and out == ""
+    assert "requires constraints.non_negative" in err
+    code, out, _ = _run_edited(scenario_dir, tmp_path, "example2", edit,
+                               ["constrained", "--non-negative", "--format", "json"])
+    assert code == 0 and json.loads(out)
+
+
 def test_validate_quantile_beyond_sample_exit_two(scenario_dir, tmp_path):
     def edit(raw):
         raw["risk"] = {"a": 1.0, "b": 8.0}

@@ -12,7 +12,7 @@ from covarsel import (EfficiencyClass, LemmaParams, NumericalBreakdown,
                       lemma_minimize, markowitz_frontier,
                       point_is_efficient,
                       solve_critical, validate_model, MarketModel)
-from covarsel.closedform import FrontierPoint, _closed_form, _recheck
+from covarsel.closedform import CONSTRAINT_TOL, FrontierPoint, _closed_form, _recheck
 from covarsel.riskmeasures import _covar_rows, _gram_rows, _raw_rows
 from helpers import (covar_value_raw, golden_section, near_dependent_model, random_model,
                      random_model_delta)
@@ -601,20 +601,20 @@ class TestBatchedRecheck:
         with pytest.raises(NumericalBreakdown):
             solve_critical(m, bad, m.mu1 + 1.0)
 
-    @pytest.mark.parametrize("where", ["value", "coeff", "weight"])
+    @pytest.mark.parametrize("where", ["value", "coeff", "basis"])
     def test_nan_row_fails(self, where):
         m, r = random_model_delta(np.random.default_rng(52), +1, n=10)
         e_hat = np.linspace(-1.0, 1.0, 101)
-        x_hat, coeffs, basis, values = (a.copy() for a in _closed_form(m, r, e_hat))
-        _recheck(m, r, e_hat, x_hat, coeffs, basis, values)
+        coeffs, basis, values = (a.copy() for a in _closed_form(m, r, e_hat))
+        _recheck(m, r, e_hat, coeffs, basis, values)
         if where == "value":
             values[37] = math.nan
         elif where == "coeff":
             coeffs[37, 2] = math.nan
         else:
-            x_hat[37, 2] = math.nan
+            basis[2, 2] = math.nan
         with pytest.raises(NumericalBreakdown):
-            _recheck(m, r, e_hat, x_hat, coeffs, basis, values)
+            _recheck(m, r, e_hat, coeffs, basis, values)
 
     @pytest.mark.parametrize("n", [3, 30, 300])
     def test_basis_values_equal_direct_rows(self, n):
@@ -625,15 +625,39 @@ class TestBatchedRecheck:
             m, r = random_model_delta(rng, +1, n=n)
             span = float(np.ptp(m.mu))
             e_hat = np.linspace(-span, span, 101)
-            parts = _closed_form(m, r, e_hat)
-            via_basis = _covar_rows(m, r, *parts[1:3])[3]
-            direct = _raw_rows(m, r, _recheck(m, r, e_hat, *parts))
+            coeffs, basis, values = _closed_form(m, r, e_hat)
+            via_basis = _covar_rows(m, r, coeffs, basis)[3]
+            direct = _raw_rows(m, r, _recheck(m, r, e_hat, coeffs, basis, values))
             assert np.all(np.abs(via_basis - direct) <= 1e-12 * np.maximum(1.0, np.abs(direct)))
 
     def test_e_y_row_has_zero_quadratic(self):
         m, r = random_model_delta(np.random.default_rng(54), +1, n=30)
         e_hat = np.linspace(-1.0, 1.0, 101)
         assert e_hat[50] == 0.0
-        _, coeffs, basis, _ = _closed_form(m, r, e_hat)
+        coeffs, basis, values = _closed_form(m, r, e_hat)
         assert coeffs[50].tolist() == [1.0, 0.0, 0.0]
         assert _gram_rows(coeffs, basis, r.Q)[50] == 0.0
+        x = _recheck(m, r, e_hat, coeffs, basis, values)
+        assert x[50].tolist() == basis[0].tolist()
+        assert not np.any(np.signbit(x) & (x == 0.0))
+        row = frontier(m, r, m.mu1, m.mu1, 1)[0].weights
+        assert row.tolist() == m.to_original(basis[0]).tolist()
+        assert not np.any(np.signbit(row))
+
+    @pytest.mark.parametrize("n", [3, 30, 300])
+    def test_ray_vectors_meet_constraints(self, n):
+        """The ray's base is feasible at the target, and its direction has
+        zero budget and zero return, to rounding of the direction's size."""
+        rng = np.random.default_rng(55 + n)
+        for _ in range(3):
+            m, r = random_model_delta(rng, -1, n=n)
+            mu = m.to_original(m.mu)
+            target = float(np.mean(mu)) + float(np.ptp(mu))
+            sol = solve_critical(m, r, target)
+            assert sol.status is SolveStatus.UNBOUNDED_BELOW
+            base, d = sol.ray_base, sol.ray_direction
+            assert abs(base.sum() - 1.0) <= CONSTRAINT_TOL
+            assert abs(base @ mu - target) <= CONSTRAINT_TOL * max(1.0, abs(target))
+            scale = float(np.max(np.abs(d)))
+            assert abs(d.sum()) <= 1e-12 * scale
+            assert abs(d @ mu) <= 1e-12 * scale

@@ -5,7 +5,8 @@ import pytest
 
 from covarsel import (ConstrainedProblem, MarketModel, McConfig, NumericalBreakdown,
                       RiskParams, SolveStatus, ValidatedModel, frontier, linalg, mc_covar,
-                      minimize_constrained, reduce_model, solve_critical, validate_model)
+                      markowitz_frontier, minimize_constrained, reduce_model, solve_critical,
+                      validate_model)
 from helpers import random_model
 
 
@@ -193,8 +194,9 @@ def test_shared_factor_against_explicit_inverse(n):
 
 def test_one_factorization_from_validation_to_oracle(monkeypatch):
     """validate -> reduce -> frontier -> mc_covar -> constrained solves on the
-    simplex and on a slice factors sigma once: nothing after validation
-    factors a matrix, and the reduction is one substitution on that factor."""
+    simplex and on a slice -> Markowitz frontier factors sigma once: nothing
+    after validation factors a matrix, and the reduction and the Markowitz
+    frontier are one substitution each on that factor."""
     calls = {"cholesky_spd": 0, "solve_cholesky": 0}
     for name in calls:
         original = getattr(linalg, name)
@@ -217,3 +219,5 @@ def test_one_factorization_from_validation_to_oracle(monkeypatch):
     minimize_constrained(ConstrainedProblem(model=m, reduced=r))
     minimize_constrained(ConstrainedProblem(model=m, reduced=r, E=2.5))
     assert calls == {"cholesky_spd": 1, "solve_cholesky": 1}
+    markowitz_frontier(m, [1.5, 2.5])
+    assert calls == {"cholesky_spd": 1, "solve_cholesky": 2}
