@@ -35,6 +35,7 @@ remains for the volatility and value-at-risk frontiers.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -216,7 +217,11 @@ def _basis(m: ValidatedModel, r: ReducedModel) -> np.ndarray:
 def _rows(coeffs: np.ndarray, basis: np.ndarray) -> np.ndarray:
     """``coeffs @ basis`` term by term from ``e_Y``: no row's bits depend on the
     other rows, and a row with zero direction coefficients is exactly ``e_Y``."""
-    return basis[0] * coeffs[:, :1] + basis[1] * coeffs[:, 1:2] + basis[2] * coeffs[:, 2:]
+    x = basis[0] * coeffs[:, :1]
+    term = np.multiply(basis[1], coeffs[:, 1:2])
+    x += term
+    x += np.multiply(basis[2], coeffs[:, 2:], out=term)
+    return x
 
 
 def _closed_form(m: ValidatedModel, r: ReducedModel, e_hat: np.ndarray):
@@ -353,5 +358,6 @@ def frontier(m: ValidatedModel, r: ReducedModel, e_min: float, e_max: float,
     x_int, values = _unique_critical(m, r, e_hat)
     flags = np.broadcast_to(point_is_efficient(classify_efficiency(r), e_hat), grid.shape)
     label = solvability_status(r).value
-    return [FrontierPoint(e, v, w, f, label) for e, v, w, f
-            in zip(grid.tolist(), values.tolist(), m.to_original(x_int), flags.tolist())]
+    return list(map(FrontierPoint._make, zip(grid.tolist(), values.tolist(),
+                                             m.to_original(x_int), flags.tolist(),
+                                             itertools.repeat(label))))

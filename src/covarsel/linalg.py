@@ -35,7 +35,7 @@ def cholesky_spd(a: np.ndarray, tol_scale: float) -> np.ndarray:
     """
     a = np.asarray(a, dtype=float)
     n = a.shape[0]
-    diag_max = float(np.max(np.diag(a))) if n else 0.0
+    diag_max = float(a.diagonal().max()) if n else 0.0
     if diag_max <= 0.0:
         raise PivotFailure("no positive diagonal entry")
     tol = tol_scale * diag_max
@@ -43,10 +43,9 @@ def cholesky_spd(a: np.ndarray, tol_scale: float) -> np.ndarray:
         low = np.linalg.cholesky(a)
     except np.linalg.LinAlgError as exc:
         raise PivotFailure(f"factorization failed: {exc}") from exc
-    pivots = np.diag(low) ** 2
-    below = np.flatnonzero(~(pivots > tol))
-    if below.size:
-        j = int(below[0])
+    pivots = low.diagonal() ** 2
+    if not pivots.min() > tol:
+        j = int(np.flatnonzero(~(pivots > tol))[0])
         raise PivotFailure(f"pivot {pivots[j]:.3e} at column {j} below floor {tol:.3e}")
     return low
 

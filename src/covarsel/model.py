@@ -160,6 +160,8 @@ def validate_model(m: MarketModel) -> ValidatedModel:
 
     Raises DimensionMismatch, NotPositiveDefinite, MuParallelToOnes or
     BadQuantileLevel (the latter surfaces from RiskParams construction).
+    sigma is permuted first; its asymmetry is measured in one n x n buffer,
+    which then takes ``0.5 (sigma + sigma')`` in place and becomes the model's.
     """
     mu = np.asarray(m.mu, dtype=float)
     sigma = np.asarray(m.sigma, dtype=float)
@@ -175,23 +177,23 @@ def validate_model(m: MarketModel) -> ValidatedModel:
         raise DimensionMismatch(
             f"conditioning_asset must be in 1..{n}, got {m.conditioning_asset!r}")
 
-    scale = float(np.max(np.abs(sigma)))
-    asym = sigma - sigma.T
-    if np.max(np.abs(asym, out=asym)) > SYMMETRY_RTOL * max(1.0, scale):
+    cond = int(m.conditioning_asset) - 1
+    perm = np.concatenate(([cond], np.delete(np.arange(n), cond)))
+    inv_perm = np.argsort(perm)
+    sigma = sigma.take(perm, 0).take(perm, 1)
+    scale = max(float(sigma.max()), -float(sigma.min()))
+    sym = np.subtract(sigma, sigma.T)
+    if np.max(np.abs(sym, out=sym)) > SYMMETRY_RTOL * max(1.0, scale):
         raise NotPositiveDefinite("covariance matrix is not symmetric at tolerance")
-    sigma = 0.5 * (sigma + sigma.T)
+    np.add(sigma, sigma.T, out=sym)
+    sym *= 0.5
+    del sigma  # freed before the factor is allocated
 
     mu_span = float(np.max(mu) - np.min(mu))
     if mu_span <= MU_SPAN_RTOL * max(1.0, float(np.max(np.abs(mu)))):
         raise MuParallelToOnes("every asset has the same expected return")
 
-    cond = int(m.conditioning_asset) - 1
-    perm = np.concatenate(([cond], np.delete(np.arange(n), cond)))
-    inv_perm = np.argsort(perm)
-    mu_p = mu[perm]
-    sigma_p = sigma[np.ix_(perm, perm)]
-
-    vm = ValidatedModel(mu=mu_p, sigma=sigma_p, risk=m.risk,
+    vm = ValidatedModel(mu=mu[perm], sigma=sym, risk=m.risk,
                         perm=perm, inv_perm=inv_perm)
     try:
         vm.chol

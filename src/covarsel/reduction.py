@@ -2,7 +2,8 @@
 
 Writing Y for the conditioning asset (internal position 0) and
 ``q = sigma[:, 0] / sigma1``, the covariance with the conditioning direction
-projected out is ``Q = sigma - q q^T``.  Its first row and column vanish and
+projected out is ``Q = sigma - q q^T``, formed in one n x n buffer as
+``(-q) q^T + sigma``, the same bits.  Its first row and column vanish and
 the trailing block ``Qhat`` is positive definite, so after eliminating the
 budget constraint the objective lives on the (n-1)-dimensional reduced space
 with excess means ``mu_hat`` and excess covariations ``q_hat``.
@@ -85,9 +86,11 @@ def reduce_model(m: ValidatedModel) -> ReducedModel:
     """
     sigma1 = m.sigma1
     q = m.sigma[:, 0] / sigma1
-    big_q = m.sigma - np.outer(q, q)
+    big_q = np.multiply.outer(-q, q)
+    big_q += m.sigma
     edge = max(float(np.max(np.abs(big_q[0, :]))), float(np.max(np.abs(big_q[:, 0]))))
-    if edge > ZERO_BLOCK_TOL * max(1.0, float(np.max(np.abs(m.sigma)))):
+    scale = max(float(m.sigma.max()), -float(m.sigma.min()))
+    if edge > ZERO_BLOCK_TOL * max(1.0, scale):
         raise NumericalBreakdown(
             f"projected covariance should have a zero first row/column, got {edge:.3e}")
     big_q[0, :] = 0.0

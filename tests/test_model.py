@@ -9,6 +9,7 @@ from covarsel import (BadQuantileLevel, DimensionMismatch, DomainError,
                       MarketModel, MuParallelToOnes, NotPositiveDefinite,
                       RiskParams, normal_quantile,
                       standard_normal_cdf, solve_critical, validate_model)
+from covarsel.model import SYMMETRY_RTOL
 from helpers import random_model
 
 
@@ -125,6 +126,28 @@ class TestValidateModel:
         with pytest.raises(DimensionMismatch):
             validate_model(MarketModel(mu=[1.0, 2.0], sigma=np.eye(3),
                                        conditioning_asset=1, risk=RiskParams(a=1, b=1)))
+
+    def test_asymmetry_reported_before_equal_returns(self):
+        sigma = np.eye(3)
+        sigma[0, 1] = 0.5
+        with pytest.raises(NotPositiveDefinite):
+            validate_model(MarketModel(mu=[1.0, 1.0, 1.0], sigma=sigma,
+                                       conditioning_asset=2, risk=RiskParams(a=1, b=1)))
+
+    def test_symmetrized_sigma_bit_for_bit(self):
+        """vm.sigma is 0.5 (sigma + sigma') gathered into the internal order,
+        to the bit, on an input asymmetric within SYMMETRY_RTOL."""
+        rng = np.random.default_rng(41)
+        n = 40
+        mat = rng.normal(size=(n, n))
+        sigma = mat @ mat.T + n * np.eye(n)
+        sigma += np.triu(rng.uniform(-1.0, 1.0, size=(n, n)), 1) * SYMMETRY_RTOL
+        assert not np.array_equal(sigma, sigma.T)
+        for cond in (1, 17, n):
+            vm = validate_model(MarketModel(mu=rng.normal(size=n), sigma=sigma,
+                                            conditioning_asset=cond, risk=RiskParams(a=1, b=1)))
+            expected = (0.5 * (sigma + sigma.T))[np.ix_(vm.perm, vm.perm)]
+            assert vm.sigma.tobytes() == expected.tobytes()
 
     def test_permutation_puts_conditioning_asset_first(self):
         m, _ = _ex2_conditioned_on(2)

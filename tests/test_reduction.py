@@ -1,4 +1,5 @@
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -140,6 +141,48 @@ class TestStructuralInvariants:
             if abs(x[0] - 1.0) < 1e-3:
                 continue
             assert float(x @ r.Q @ x) > 1e-12
+
+
+def test_projected_covariance_bit_for_bit():
+    """Q is sigma - q q' with its first row and column zeroed, to the bit."""
+    rng = np.random.default_rng(9)
+    for n in (2, 3, 10, 50):
+        m, r = random_model(rng, n=n)
+        q = m.sigma[:, 0] / m.sigma1
+        expected = m.sigma - np.outer(q, q)
+        expected[0, :] = 0.0
+        expected[:, 0] = 0.0
+        assert r.q.tobytes() == q.tobytes()
+        assert r.Q.tobytes() == expected.tobytes()
+
+
+# Traced peak of each stage at n = 300 above its start, in doubles of n^2:
+# one n x n buffer beside the Cholesky factor, and Q alone.
+ALLOCATION_BUDGET = {"validate_model": 2.25, "reduce_model": 1.25}
+
+
+@pytest.mark.parametrize("stage", sorted(ALLOCATION_BUDGET))
+def test_allocation_budget_at_300(stage):
+    n = 300
+    rng = np.random.default_rng(300)
+    mat = rng.normal(size=(n, n))
+    market = MarketModel(mu=rng.normal(size=n), sigma=mat @ mat.T + n * np.eye(n),
+                         conditioning_asset=7, risk=RiskParams(a=1.0, b=2.0))
+    vm = validate_model(market)
+    run = {"validate_model": lambda: validate_model(market),
+           "reduce_model": lambda: reduce_model(vm)}[stage]
+    run()
+    outer = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        run()
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        if not outer:
+            tracemalloc.stop()
+    assert peak <= ALLOCATION_BUDGET[stage] * n * n * 8, peak / (n * n * 8)
 
 
 def test_breakdown_on_nearly_singular_covariance():

@@ -1,13 +1,17 @@
 """Rules on the package source that no runtime test can see.
 
 Every tolerance of the package is a named module constant, so no function
-body outside the reference oracle holds a small float literal.
+body outside the reference oracle holds a small float literal.  Every
+function the bench tracer wraps exists under its traced name.
 """
 
 import ast
+import importlib
 import pathlib
 
-SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "covarsel"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "covarsel"
+TRACER = ROOT / "bench" / "tracer.py"
 # Below this magnitude a float literal reads as a tolerance.
 TOLERANCE_SIZE = 1e-3
 
@@ -39,3 +43,20 @@ def test_no_tolerance_literal_in_function_bodies():
     found = [f"{p.name}:{line}: {value!r}" for p in paths
              for line, value in sorted(_small_literals(ast.parse(p.read_text())))]
     assert not found, "name these tolerances as module constants: " + ", ".join(found)
+
+
+def _traced_pairs() -> tuple:
+    """``TRACED`` of the bench tracer, read from its source without importing it."""
+    for node in ast.parse(TRACER.read_text()).body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "TRACED" for t in node.targets):
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"{TRACER} defines no TRACED")
+
+
+def test_traced_functions_exist():
+    pairs = _traced_pairs()
+    assert len(pairs) > 5
+    missing = [f"{module}.{name}" for module, name in pairs
+               if not callable(getattr(importlib.import_module(f"covarsel.{module}"), name, None))]
+    assert not missing, "the bench tracer wraps functions that are gone: " + ", ".join(missing)
