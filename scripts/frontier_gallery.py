@@ -11,7 +11,8 @@ Writes CSV files into an output directory:
 * example3_case{1a,1b,2a,2b,3}.csv: the five stress-intensity panels, one per
   efficiency regime occurrence, efficient points flagged.
 
-Every file is written by the CLI's CSV writer: E,value,efficient,status,w1..wn.
+Every panel is one `Frontier` record, written by the CLI's CSV writer:
+E,value,efficient,status,w1..wn.
 """
 
 import argparse
@@ -24,11 +25,10 @@ import numpy as np
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
-from covarsel import (ConstrainedProblem, RiskParams, constrained_frontier,
+from covarsel import (ConstrainedProblem, Frontier, RiskParams, constrained_frontier,
                       frontier, markowitz_frontier, reduce_model, sigma_and_var,
                       validate_model)
 from covarsel.cli import _emit_points, load_scenario
-from covarsel.closedform import FrontierPoint
 
 EX3_PANELS = [
     ("case1a", 1.0, 0.3),
@@ -43,33 +43,31 @@ def fixture(name):
     return load_scenario(str(ROOT / "scenarios" / f"{name}.json"))
 
 
-def write_points(path, points, n):
+def write_points(path, points):
     with open(path, "w", encoding="utf-8") as fh:
-        _emit_points(points, n, "csv", fh)
+        _emit_points(points, "csv", fh)
 
 
 def example1(outdir, steps):
     scenario = fixture("example1")
     m, r = scenario.model, scenario.reduced
     grid = np.linspace(1.0, 4.0, steps)
-    pts = constrained_frontier(ConstrainedProblem(model=m, reduced=r), grid)
-    write_points(outdir / "example1_constrained_covar.csv", pts, m.n)
+    write_points(outdir / "example1_constrained_covar.csv",
+                 constrained_frontier(ConstrainedProblem(model=m, reduced=r), grid))
 
-    sigma_pts = []
-    for e, w in zip(grid, markowitz_frontier(m, grid)[0]):
-        w = np.maximum(w, 0.0)
-        w = w / w.sum()
-        sig, _ = sigma_and_var(m, w)
-        sigma_pts.append(FrontierPoint(E=float(e), value=sig, weights=w,
-                                       efficient=False, status="SigmaEnvelope"))
-    write_points(outdir / "example1_constrained_sigma.csv", sigma_pts, m.n)
+    # Minimum-variance portfolios with their short positions cut and the
+    # rest rescaled to the budget.
+    weights = np.maximum(markowitz_frontier(m, grid)[0], 0.0)
+    weights /= weights.sum(axis=1, keepdims=True)
+    sigmas = [sigma_and_var(m, w)[0] for w in weights]
+    write_points(outdir / "example1_constrained_sigma.csv",
+                 Frontier(grid, sigmas, weights, np.zeros(steps, bool), "SigmaEnvelope"))
 
 
 def example2(outdir, steps):
     scenario = fixture("example2")
     m, r = scenario.model, scenario.reduced
-    write_points(outdir / "example2_frontier.csv",
-                 frontier(m, r, 1.0, 3.0, steps), m.n)
+    write_points(outdir / "example2_frontier.csv", frontier(m, r, 1.0, 3.0, steps))
 
 
 def example3(outdir, steps):
@@ -77,8 +75,7 @@ def example3(outdir, steps):
     for label, a, b in EX3_PANELS:
         m = validate_model(dataclasses.replace(market, risk=RiskParams(a=a, b=b)))
         r = reduce_model(m)
-        write_points(outdir / f"example3_{label}.csv",
-                     frontier(m, r, 0.0, 2.0, steps), m.n)
+        write_points(outdir / f"example3_{label}.csv", frontier(m, r, 0.0, 2.0, steps))
 
 
 def main():

@@ -9,7 +9,7 @@ no-short-selling variant, and Monte-Carlo plus brute-force oracles to verify
 everything independently.
 """
 
-from .closedform import (CriticalSolution, EfficiencyClass, FrontierPoint,
+from .closedform import (CriticalSolution, EfficiencyClass, Frontier, FrontierPoint,
                          LemmaOutcome, LemmaParams, SolveStatus,
                          classify_efficiency, frontier, lemma_minimize,
                          markowitz_frontier,

@@ -20,7 +20,7 @@ import sys
 
 import numpy as np
 
-from .closedform import (FrontierPoint, SolveStatus, classify_efficiency, frontier,
+from .closedform import (Frontier, SolveStatus, classify_efficiency, frontier,
                          markowitz_frontier, minimum_variance_efficient,
                          point_is_efficient, solvability_status, solve_critical,
                          target_grid)
@@ -176,22 +176,20 @@ def _emit_record(record: dict, fmt: str, out):
             print(f"{k} = {_fmt(_jsonable(v))}", file=out)
 
 
-def _point_row(p: FrontierPoint) -> dict:
-    row = {"E": p.E, "value": p.value, "efficient": p.efficient, "status": p.status}
-    for i, w in enumerate(p.weights, start=1):
-        row[f"w{i}"] = float(w)
-    return row
+def _point_rows(points: Frontier):
+    """Column names, and one tuple of Python values per point."""
+    return (["E", "value", "efficient", "status"]
+            + [f"w{i}" for i in range(1, points.weights.shape[1] + 1)],
+            zip(points.E.tolist(), points.value.tolist(), points.efficient.tolist(),
+                [points.status] * len(points), *points.weights.T.tolist()))
 
 
-def _emit_points(points, n, fmt, out):
-    rows = [_point_row(p) for p in points]
+def _emit_points(points: Frontier, fmt, out):
+    header, rows = _point_rows(points)
     if fmt == "json":
-        print(json.dumps([{k: _jsonable(v) for k, v in r.items()} for r in rows]), file=out)
+        print(json.dumps([dict(zip(header, map(_jsonable, r))) for r in rows]), file=out)
         return
-    header = ["E", "value", "efficient", "status"] + [f"w{i}" for i in range(1, n + 1)]
-    print(",".join(header), file=out)
-    for r in rows:
-        print(",".join(_fmt(r[k]) for k in header), file=out)
+    print("\n".join(",".join(map(_fmt, r)) for r in (header, *rows)), file=out)
 
 
 def cmd_describe(scenario: Scenario, fmt: str, out) -> int:
@@ -240,11 +238,9 @@ def cmd_solve(scenario: Scenario, target: float, fmt: str, out) -> int:
     m, r = scenario.model, scenario.reduced
     sol = solve_critical(m, r, target)
     if sol.x is not None:
-        point = FrontierPoint(E=target, value=sol.value, weights=sol.x,
-                              efficient=point_is_efficient(sol.efficiency_class,
-                                                           sol.E_hat),
-                              status=sol.status.value)
-        _emit_points([point], m.n, fmt if fmt != "text" else "csv", out)
+        point = Frontier(target, sol.value, sol.x,
+                         point_is_efficient(sol.efficiency_class, sol.E_hat), sol.status.value)
+        _emit_points(point, fmt if fmt != "text" else "csv", out)
         return EXIT_OK
     record = {
         "E": target,
@@ -273,14 +269,10 @@ def cmd_frontier(scenario: Scenario, e_min, e_max, steps, mode, fmt, out) -> int
     else:
         grid = target_grid(e_min, e_max, steps)
         weights, gmv = markowitz_frontier(m, grid)
-        flags = minimum_variance_efficient(grid, gmv).tolist()
-        points = []
-        for e, w, f in zip(grid.tolist(), weights, flags):
-            sigma, var_a = sigma_and_var(m, w)
-            points.append(FrontierPoint(E=e, value=sigma if mode == "sigma" else var_a,
-                                        weights=w, efficient=f,
-                                        status=SolveStatus.UNIQUE.value))
-    _emit_points(points, m.n, fmt if fmt != "text" else "csv", out)
+        values = [sigma_and_var(m, w)[0 if mode == "sigma" else 1] for w in weights]
+        points = Frontier(grid, values, weights, minimum_variance_efficient(grid, gmv),
+                          SolveStatus.UNIQUE.value)
+    _emit_points(points, fmt if fmt != "text" else "csv", out)
     return EXIT_OK
 
 
@@ -288,18 +280,18 @@ def cmd_constrained(scenario: Scenario, target, fmt, out) -> int:
     m, r = scenario.model, scenario.reduced
     problem = ConstrainedProblem(model=m, reduced=r, E=target)
     sol = minimize_constrained(problem)
-    point = FrontierPoint(E=target if target is not None
-                          else float(sol.x @ np.asarray(scenario.market.mu)),
-                          value=sol.value, weights=sol.x, efficient=False,
-                          status="Constrained")
+    point = Frontier(target if target is not None
+                     else float(sol.x @ np.asarray(scenario.market.mu)),
+                     sol.value, sol.x, False, "Constrained")
     if fmt == "json":
-        record = _point_row(point)
+        header, (row,) = _point_rows(point)
+        record = dict(zip(header, row))
         record.update({"multiple": sol.multiple,
                        "kkt_residual": sol.kkt_residual,
                        "kkt_min_dual": sol.kkt_min_dual})
         _emit_record(record, "json", out)
     else:
-        _emit_points([point], m.n, "csv", out)
+        _emit_points(point, "csv", out)
     return EXIT_OK
 
 

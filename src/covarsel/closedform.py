@@ -35,7 +35,6 @@ remains for the volatility and value-at-risk frontiers.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -43,7 +42,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, NumericalBreakdown, PreconditionViolated
+from .errors import DimensionMismatch, DomainError, NumericalBreakdown, PreconditionViolated
 from .linalg import solve_cholesky
 from .model import ValidatedModel
 from .reduction import ReducedModel
@@ -241,25 +240,29 @@ def _closed_form(m: ValidatedModel, r: ReducedModel, e_hat: np.ndarray):
 
 def _unique_critical(m: ValidatedModel, r: ReducedModel, e_hat: np.ndarray):
     """``_closed_form`` checked by ``_recheck``: internal weights and values."""
-    coeffs, basis, values = _closed_form(m, r, e_hat)
-    return _recheck(m, r, e_hat, coeffs, basis, values), values
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails a check
+        coeffs, basis, values = _closed_form(m, r, e_hat)
+        return _recheck(m, r, e_hat, coeffs, basis, values), values
 
 
 def _recheck(m: ValidatedModel, r: ReducedModel, e_hat: np.ndarray,
              coeffs: np.ndarray, basis: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Form the rows ``coeffs @ basis``, check them, return them (internal order).
 
-    Every row must meet its return constraint in excess space, on its
-    trailing weights, to CONSTRAINT_TOL, and its closed-form value must match
-    re-evaluation through both risk routes to CHECK_RTOL; each test fails on
-    NaN.  Raises NumericalBreakdown otherwise.
+    Every closed-form value must be finite, every row must meet its return
+    constraint in excess space, on its trailing weights, to CONSTRAINT_TOL,
+    and match re-evaluation through both risk routes to CHECK_RTOL; each
+    test fails on NaN.  Raises NumericalBreakdown otherwise.
     """
+    i = _first(np.isfinite(values))
+    if i is not None:
+        raise NumericalBreakdown(f"closed-form value {float(values[i])!r} is not finite")
     x = _rows(coeffs, basis)
     if not np.all(np.abs(x[:, 1:] @ r.mu_hat - e_hat)
                   <= CONSTRAINT_TOL * np.maximum(1.0, np.abs(e_hat))):
         raise NumericalBreakdown("critical solve violated the return constraint")
     recheck = _covar_rows(m, r, coeffs, basis)[3]
-    i = _first(~(np.abs(recheck - values) <= CHECK_RTOL * np.maximum(1.0, np.abs(values))))
+    i = _first(np.abs(recheck - values) <= CHECK_RTOL * np.maximum(1.0, np.abs(values)))
     if i is not None:
         raise NumericalBreakdown(
             f"closed-form value {float(values[i])!r} disagrees with "
@@ -306,16 +309,49 @@ def solve_critical(m: ValidatedModel, r: ReducedModel, E: float) -> CriticalSolu
 
 
 class FrontierPoint(NamedTuple):
-    """One sampled point of a frontier, ready for plotting or CSV emission.
-
-    A named tuple rather than a frozen dataclass: ``frontier`` builds one per
-    grid point, and a tuple costs a fraction of that to construct."""
+    """One sampled point of a frontier: a row of ``Frontier``, built when read."""
 
     E: float
     value: float
     weights: np.ndarray
     efficient: bool
     status: str
+
+
+@dataclass(frozen=True, eq=False, slots=True)
+class Frontier:
+    """A sampled frontier as read-only columns: ``E``, ``value``, ``efficient``
+    (k each), ``weights`` (k x n, caller's asset order) and one ``status``.
+    Iteration and indexing yield ``FrontierPoint`` rows with Python floats and
+    bools; a slice yields a ``Frontier``, and scalars make a one-row record."""
+
+    E: np.ndarray
+    value: np.ndarray
+    weights: np.ndarray
+    efficient: np.ndarray
+    status: str
+
+    def __post_init__(self):
+        for name, dtype, ndim in (("E", float, 1), ("value", float, 1),
+                                  ("weights", float, 2), ("efficient", bool, 1)):
+            arr = np.array(getattr(self, name), dtype=dtype, copy=None, ndmin=ndim).view()
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+        if not self.E.shape == self.value.shape == self.efficient.shape == self.weights.shape[:1]:
+            raise DimensionMismatch("frontier columns must have one entry per point")
+
+    def __len__(self) -> int:
+        return self.E.shape[0]
+
+    def __iter__(self):
+        return map(FrontierPoint._make, zip(self.E.tolist(), self.value.tolist(), self.weights,
+                                            self.efficient.tolist(), [self.status] * len(self)))
+
+    def __getitem__(self, i):
+        E, value, weights, efficient = self.E[i], self.value[i], self.weights[i], self.efficient[i]
+        if isinstance(i, slice):
+            return Frontier(E, value, weights, efficient, self.status)
+        return FrontierPoint(float(E), float(value), weights, bool(efficient), self.status)
 
 
 def point_is_efficient(eff: EfficiencyClass, e_hat):
@@ -340,15 +376,15 @@ def target_grid(e_min: float, e_max: float, steps: int) -> np.ndarray:
 
 
 def frontier(m: ValidatedModel, r: ReducedModel, e_min: float, e_max: float,
-             steps: int) -> list[FrontierPoint]:
+             steps: int) -> Frontier:
     """Sample the optimal value across a uniform target-return grid.
 
     Requires Delta > 0, dependent (1, mu, q) included; points are flagged
     efficient by ``classify_efficiency`` and labelled by
     ``solvability_status``.  The whole grid is formed from the one basis and
     rechecked through it as one batch, with the same per-point checks
-    as ``solve_critical``; each point equals ``solve_critical`` at its target.
-    Output is ordered by E.
+    as ``solve_critical``; each row equals ``solve_critical`` at its target.
+    Returns one ``Frontier`` record, ordered by E.
     """
     grid = target_grid(e_min, e_max, steps)
     if _delta_regime(r) != 1:
@@ -356,8 +392,6 @@ def frontier(m: ValidatedModel, r: ReducedModel, e_min: float, e_max: float,
             f"frontier is defined only for Delta > 0, got Delta={r.Delta!r}")
     e_hat = grid - m.mu1
     x_int, values = _unique_critical(m, r, e_hat)
-    flags = np.broadcast_to(point_is_efficient(classify_efficiency(r), e_hat), grid.shape)
-    label = solvability_status(r).value
-    return list(map(FrontierPoint._make, zip(grid.tolist(), values.tolist(),
-                                             m.to_original(x_int), flags.tolist(),
-                                             itertools.repeat(label))))
+    flags = np.zeros(grid.shape, bool)
+    flags |= point_is_efficient(classify_efficiency(r), e_hat)
+    return Frontier(grid, values, m.to_original(x_int), flags, solvability_status(r).value)

@@ -32,7 +32,7 @@ import numpy as np
 from .errors import InfeasibleSlice, NoConvergence, NumericalBreakdown
 from .model import ValidatedModel
 from .reduction import ReducedModel
-from .closedform import CONSTRAINT_TOL, TARGET_SLACK, FrontierPoint
+from .closedform import CONSTRAINT_TOL, TARGET_SLACK, Frontier
 from .riskmeasures import QUAD_FLOOR, _raw_value
 
 ACTIVE_TOL = 1e-7
@@ -341,20 +341,17 @@ def kkt_certificate(problem: ConstrainedProblem, x):
     return _kkt_at(c, r.Q, m.risk.b, _rows(m.mu, problem.E)[0], xi)
 
 
-def constrained_frontier(problem: ConstrainedProblem, e_grid) -> list[FrontierPoint]:
+def constrained_frontier(problem: ConstrainedProblem, e_grid) -> Frontier:
     """Constrained minimum per grid return; the lower envelope of the
-    feasible region's image.  Points are flagged efficient when no other
-    sampled point weakly dominates them (lower value at a return at least as
-    high)."""
-    m = problem.model
-    sols = []
-    for e in np.asarray(e_grid, dtype=float):
-        sub = ConstrainedProblem(model=m, reduced=problem.reduced, E=float(e))
-        sols.append((float(e), minimize_constrained(sub)))
-    points = []
-    for e, sol in sols:
-        dominated = any(o_e >= e - TARGET_SLACK and o_sol.value < sol.value - DOMINANCE_SLACK
-                        for o_e, o_sol in sols if o_sol is not sol)
-        points.append(FrontierPoint(E=e, value=sol.value, weights=sol.x,
-                                    efficient=not dominated, status="Constrained"))
-    return points
+    feasible region's image, as one ``Frontier`` record with status
+    "Constrained".  Points are flagged efficient when no other sampled point
+    weakly dominates them (lower value at a return at least as high)."""
+    grid = np.asarray(e_grid, dtype=float)
+    sols = [minimize_constrained(ConstrainedProblem(model=problem.model, reduced=problem.reduced,
+                                                    E=e)) for e in grid.tolist()]
+    values = np.array([sol.value for sol in sols], dtype=float)
+    dominated_by = (grid >= grid[:, None] - TARGET_SLACK) \
+        & (values < values[:, None] - DOMINANCE_SLACK)
+    np.fill_diagonal(dominated_by, False)
+    weights = np.reshape([sol.x for sol in sols], (len(sols), problem.model.n))
+    return Frontier(grid, values, weights, ~dominated_by.any(axis=1), "Constrained")

@@ -178,8 +178,9 @@ def validate_model(m: MarketModel) -> ValidatedModel:
             f"conditioning_asset must be in 1..{n}, got {m.conditioning_asset!r}")
 
     cond = int(m.conditioning_asset) - 1
-    perm = np.concatenate(([cond], np.delete(np.arange(n), cond)))
-    inv_perm = np.argsort(perm)
+    idx = np.arange(n)  # perm = (cond, 0, .., cond - 1, cond + 1, .., n - 1)
+    perm, inv_perm = idx - (idx <= cond), idx + (idx < cond)
+    perm[0], inv_perm[cond] = cond, 0
     sigma = sigma.take(perm, 0).take(perm, 1)
     scale = max(float(sigma.max()), -float(sigma.min()))
     sym = np.subtract(sigma, sigma.T)

@@ -70,10 +70,9 @@ def covar_raw(m: ValidatedModel, r: ReducedModel, x) -> float:
     return _raw_value(m, r, m.to_internal(x))
 
 
-def _first(bad: np.ndarray) -> int | None:
-    """Index of the first flagged row, or None."""
-    rows = np.flatnonzero(bad)
-    return int(rows[0]) if rows.size else None
+def _first(ok: np.ndarray) -> int | None:
+    """Index of the first False of the pass mask ``ok``, or None (one reduction)."""
+    return None if ok.all() else int(np.argmin(ok))
 
 
 def _gram_rows(coeffs: np.ndarray, basis: np.ndarray, mat: np.ndarray) -> np.ndarray:
@@ -88,31 +87,37 @@ def _covar_rows(m: ValidatedModel, r: ReducedModel, coeffs: np.ndarray, basis: n
     by the p rows of ``basis`` (p x n).
 
     Returns arrays ``(expected, sigma, rho, value)`` with the reduced-route
-    value.  Raises NumericalBreakdown where a row's volatility is not positive
-    or the routes differ by more than ROUTE_RTOL (relative), and DomainError
-    where |rho| > 1 + RHO_TOL.  Each test is written to fail on NaN.
+    value.  Raises NumericalBreakdown where a row's value or variance is not
+    finite, its volatility is not positive or the routes differ by more than
+    ROUTE_RTOL (relative), and DomainError where |rho| > 1 + RHO_TOL.  Each
+    test is written to fail on NaN, and an overflow fails the first one.
     """
     a, b = m.risk.a, m.risk.b
-    expected = coeffs @ (basis @ m.mu)
-    xq = coeffs @ (basis @ r.q)
-    quad = _gram_rows(coeffs, basis, r.Q)
-    value = _reduced_form(m, expected, xq, quad)
-    sigma2 = _gram_rows(coeffs, basis, m.sigma)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails a check below
+        expected = coeffs @ (basis @ m.mu)
+        xq = coeffs @ (basis @ r.q)
+        quad = _gram_rows(coeffs, basis, r.Q)
+        value = _reduced_form(m, expected, xq, quad)
+        sigma2 = _gram_rows(coeffs, basis, m.sigma)
+    i = _first(np.isfinite(value) & np.isfinite(sigma2))
+    if i is not None:
+        raise NumericalBreakdown(f"risk value {float(value[i])!r} or portfolio variance "
+                                 f"{float(sigma2[i])!r} is not finite")
     sigma = np.sqrt(np.maximum(0.0, sigma2))
-    i = _first(~(sigma > 0.0))
+    i = _first(sigma > 0.0)
     if i is not None:
         raise NumericalBreakdown(f"portfolio volatility {float(sigma[i])!r} is not positive")
     rho = xq / sigma
-    i = _first(~(np.abs(rho) <= 1.0 + RHO_TOL))
+    i = _first(np.abs(rho) <= 1.0 + RHO_TOL)
     if i is not None:
         raise DomainError(f"correlation out of range: {float(rho[i])!r}")
-    rho = np.clip(rho, -1.0, 1.0)
+    rho = np.minimum(np.maximum(rho, -1.0), 1.0)
     # Bivariate route, with the complement 1 - rho^2 taken from the projected
     # quadratic (quad = sigma^2 (1 - rho^2)); forming sigma^2 - (x'q)^2 instead
     # would cancel catastrophically near |rho| = 1.
-    complement = np.where(quad < QUAD_FLOOR, 0.0, np.clip(quad / sigma2, 0.0, 1.0))
+    complement = np.where(quad < QUAD_FLOOR, 0.0, np.minimum(np.maximum(quad / sigma2, 0.0), 1.0))
     other = -expected + sigma * (rho * a + b * np.sqrt(complement))
-    i = _first(~(np.abs(other - value) <= ROUTE_RTOL * np.maximum(1.0, np.abs(value))))
+    i = _first(np.abs(other - value) <= ROUTE_RTOL * np.maximum(1.0, np.abs(value)))
     if i is not None:
         raise NumericalBreakdown(
             f"risk evaluation routes disagree: {float(value[i])!r} vs {float(other[i])!r}")

@@ -400,6 +400,30 @@ def test_overflowing_market_exit_three(scenario_dir, tmp_path, argv):
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["solve", "--E", "1e200"], "risk value inf or portfolio variance inf is not finite"),
+    (["solve", "--E=-1e308"], "closed-form value inf is not finite"),
+    (["frontier", "--E-min", "0", "--E-max", "1e308", "--steps", "3"],
+     "closed-form value inf is not finite"),
+    (["validate", "--weights", "1e200,-1e200,1", "--samples", "10000"],
+     "risk value inf or portfolio variance inf is not finite"),
+])
+def test_overflowing_request_one_line(scenario_dir, argv, message):
+    """A target or portfolio that overflows the closed form or the risk
+    evaluation exits 3 with one stderr line naming the non-finite quantity,
+    and no numpy warning reaches stderr."""
+    env = dict(os.environ)
+    src = str(scenario_dir.parents[0] / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run(
+        [sys.executable, "-m", "covarsel", argv[0], "--scenario",
+         scenario(scenario_dir, "example2"), *argv[1:]],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("mu,target", [([-5e39, -9.6], -3e8), ([-1e20, 1.0], -6.7e16)])
 def test_constrained_badly_scaled_returns(tmp_path, mu, target):
     """Returns many orders of magnitude apart: the answer is a point of the

@@ -1,5 +1,8 @@
 import dataclasses
+import gc
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -12,7 +15,8 @@ from covarsel import (EfficiencyClass, LemmaParams, NumericalBreakdown,
                       lemma_minimize, markowitz_frontier,
                       point_is_efficient,
                       solve_critical, validate_model, MarketModel)
-from covarsel.closedform import CONSTRAINT_TOL, FrontierPoint, _closed_form, _recheck
+from covarsel.closedform import (CONSTRAINT_TOL, Frontier, FrontierPoint, _closed_form,
+                                 _recheck)
 from covarsel.riskmeasures import _covar_rows, _gram_rows, _raw_rows
 from helpers import (covar_value_raw, golden_section, near_dependent_model, random_model,
                      random_model_delta)
@@ -661,3 +665,121 @@ class TestBatchedRecheck:
             scale = float(np.max(np.abs(d)))
             assert abs(d.sum()) <= 1e-12 * scale
             assert abs(d @ mu) <= 1e-12 * scale
+
+
+class TestFrontierRecord:
+    """``frontier`` returns one columnar record; rows are built on demand."""
+
+    def test_columns_types_shapes_and_read_only(self, example2):
+        m, r = example2
+        fr = frontier(m, r, 1.0, 3.0, 11)
+        assert isinstance(fr, Frontier) and fr.status == "Unique"
+        for name, dtype, shape in (("E", np.float64, (11,)), ("value", np.float64, (11,)),
+                                   ("weights", np.float64, (11, 3)),
+                                   ("efficient", np.bool_, (11,))):
+            arr = getattr(fr, name)
+            assert arr.dtype == dtype and arr.shape == shape
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0
+        for name in ("E", "value", "weights", "efficient", "status"):
+            with pytest.raises(AttributeError):
+                setattr(fr, name, None)
+        assert fr.E.tolist() == np.linspace(1.0, 3.0, 11).tolist()
+
+    def test_len_indexing_and_repeated_iteration(self, example2):
+        m, r = example2
+        fr = frontier(m, r, 1.0, 3.0, 11)
+        assert len(fr) == 11
+        first, second = list(fr), list(fr)
+        assert len(first) == len(second) == 11
+        for k, (p, q) in enumerate(zip(first, second)):
+            assert isinstance(p, FrontierPoint)
+            row = fr[k]
+            assert (p.E, p.value, p.efficient, p.status) == (q.E, q.value, q.efficient, q.status) \
+                == (row.E, row.value, row.efficient, row.status)
+            assert np.array_equal(p.weights, q.weights) and np.array_equal(p.weights, row.weights)
+            assert type(p.E) is float and type(p.value) is float
+            sol = solve_critical(m, r, p.E)
+            assert p.value == sol.value and np.array_equal(p.weights, sol.x)
+        assert fr[-1].E == fr[10].E == 3.0
+        with pytest.raises(IndexError):
+            fr[11]
+        tail = fr[8:]
+        assert isinstance(tail, Frontier) and [p.E for p in tail] == [p.E for p in first[8:]]
+
+    def test_efficient_is_a_python_bool_per_row(self, example3):
+        m, r = example3
+        fr = frontier(m, r, 0.0, 2.0, 21)
+        flags = [p.efficient for p in fr]
+        assert all(type(f) is bool for f in flags)
+        assert all(type(fr[k].efficient) is bool for k in range(len(fr)))
+        assert True in flags and False in flags
+
+    def test_one_row_from_scalars_and_mismatched_columns(self):
+        fr = Frontier(2.0, 0.5, [0.2, 0.8], True, "Constrained")
+        assert len(fr) == 1 and fr.weights.shape == (1, 2)
+        row = fr[0]
+        assert (row.E, row.value, row.efficient, row.status) == (2.0, 0.5, True, "Constrained")
+        assert row.weights.tolist() == [0.2, 0.8]
+        from covarsel import DimensionMismatch
+        with pytest.raises(DimensionMismatch):
+            Frontier([1.0, 2.0], [0.5], [[0.2, 0.8], [0.1, 0.9]], [True, False], "Unique")
+
+    def test_record_leaves_the_callers_arrays_writable(self):
+        grid = np.linspace(0.0, 1.0, 3)
+        fr = Frontier(grid, grid, np.ones((3, 2)) / 2, np.zeros(3, bool), "Unique")
+        grid[0] = -1.0
+        assert not fr.E.flags.writeable and fr.E[0] == -1.0
+
+    def test_memory_budget(self, example2):
+        """A 101-point n = 3 frontier keeps at most 8 KB (the columns are
+        about 3.5 KB) and at most 10 objects the garbage collector tracks;
+        101 tuples with a view each kept about 29 KB and 100 objects."""
+        m, r = example2
+        frontier(m, r, 1.0, 3.0, 101)
+        gc.collect()
+        tracked = len(gc.get_objects())
+        kept = [frontier(m, r, 1.0, 3.0, 101) for _ in range(10)]
+        gc.collect()
+        assert (len(gc.get_objects()) - tracked) / len(kept) <= 10
+        del kept
+        gc.collect()
+        tracemalloc.start()
+        try:
+            kept = frontier(m, r, 1.0, 3.0, 101)
+            gc.collect()
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(kept) == 101 and retained <= 8 * 1024
+
+
+class TestOverflow:
+    """Targets whose closed form or risk overflows end in one
+    NumericalBreakdown that names the non-finite quantity, and no numpy
+    warning escapes."""
+
+    @pytest.mark.parametrize("target,name", [(1e200, "risk value"),
+                                             (-1e308, "closed-form value")])
+    def test_solve(self, example2, target, name):
+        m, r = example2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalBreakdown, match=f"^{name} .* is not finite$"):
+                solve_critical(m, r, target)
+
+    def test_frontier(self, example2):
+        m, r = example2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalBreakdown, match="^closed-form value .* is not finite$"):
+                frontier(m, r, 0.0, 1e308, 3)
+
+    def test_portfolio(self, example2):
+        m, r = example2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalBreakdown,
+                               match="^risk value inf or portfolio variance inf is not finite$"):
+                covar_portfolio(m, r, [1e200, -1e200, 1.0])

@@ -1,13 +1,15 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from covarsel import (DomainError, McConfig, covar_portfolio, covar_raw,
+from covarsel import (DomainError, McConfig, NumericalBreakdown, covar_portfolio, covar_raw,
                       markowitz_frontier, mc_covar, sigma_and_var)
+from covarsel.riskmeasures import RHO_TOL, ROUTE_RTOL, _covar_rows, _first
 from helpers import random_model
 
 
@@ -214,3 +216,52 @@ def test_var_and_sigma_share_their_minimizer():
         sigma_argmin = m.to_internal(markowitz_frontier(m, [target])[0][0])
         var_argmin = _var_minimizer_numeric(m, target)
         assert np.max(np.abs(sigma_argmin - var_argmin)) < 1e-8
+
+
+class TestFirstFailingRow:
+    """``_first`` takes the mask of passing rows: None when all pass, else
+    the first failing index; the checks of ``_covar_rows`` keep their order."""
+
+    def test_all_pass_and_first_failure(self):
+        assert _first(np.ones(5, bool)) is None
+        assert _first(np.array([True, False, True, False])) == 1
+        assert type(_first(np.array([True, True, False]))) is int
+
+    @pytest.mark.parametrize("check", [
+        lambda v: np.isfinite(v),
+        lambda v: v > 0.0,
+        lambda v: np.abs(v) <= 1.0 + RHO_TOL,
+        lambda v: np.abs(v - 0.5) <= ROUTE_RTOL * np.maximum(1.0, np.abs(v)),
+    ], ids=["finite", "volatility", "correlation", "routes"])
+    def test_nan_row_fails_each_check(self, check):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _first(check(np.array([0.5, 0.5, 0.5]))) is None
+            assert _first(check(np.array([0.5, math.nan, 0.5]))) == 1
+
+    def test_volatility_error_before_correlation_error(self, example2):
+        """Row 0 has |rho| = 2 under a doubled q, row 1 is the zero
+        portfolio with volatility 0: the volatility check, which comes
+        first, reports row 1."""
+        m, r = example2
+        bad = dataclasses.replace(r, q=2.0 * r.q)
+        basis = np.eye(m.n)[:1]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="correlation out of range: 2.0"):
+                _covar_rows(m, bad, np.ones((1, 1)), basis)
+            with pytest.raises(NumericalBreakdown, match="portfolio volatility 0.0 is not positive"):
+                _covar_rows(m, bad, np.array([[1.0], [0.0]]), basis)
+
+    @pytest.mark.parametrize("row", [0, 2])
+    def test_nan_row_in_a_batch(self, example2, row):
+        m, r = example2
+        coeffs = np.array([[1.0, 0.1], [1.0, 0.2], [1.0, 0.3]])
+        basis = np.array([[1.0, 0.0, 0.0], [-1.0, 1.0, 0.0]])
+        _covar_rows(m, r, coeffs, basis)
+        coeffs[row, 1] = math.nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalBreakdown,
+                               match="^risk value nan or portfolio variance nan is not finite$"):
+                _covar_rows(m, r, coeffs, basis)

@@ -2,7 +2,8 @@
 
 Every tolerance of the package is a named module constant, so no function
 body outside the reference oracle holds a small float literal.  Every
-function the bench tracer wraps exists under its traced name.
+function the bench tracer wraps exists under its traced name.  Frontier
+rows are built only by the ``Frontier`` record, on demand.
 """
 
 import ast
@@ -60,3 +61,48 @@ def test_traced_functions_exist():
     missing = [f"{module}.{name}" for module, name in pairs
                if not callable(getattr(importlib.import_module(f"covarsel.{module}"), name, None))]
     assert not missing, "the bench tracer wraps functions that are gone: " + ", ".join(missing)
+
+
+def _row_builders(tree: ast.AST) -> set[str]:
+    """Names of the functions outside class ``Frontier`` that call
+    ``FrontierPoint(...)`` or use ``FrontierPoint._make``."""
+    found = set()
+
+    def visit(node, func):
+        if isinstance(node, ast.ClassDef) and node.name == "Frontier":
+            return
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        builds = (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                  and node.func.id == "FrontierPoint") or \
+                 (isinstance(node, ast.Attribute) and node.attr == "_make"
+                  and isinstance(node.value, ast.Name) and node.value.id == "FrontierPoint")
+        if builds:
+            found.add(func or "<module>")
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(tree, None)
+    return found
+
+
+def test_row_rule_flags_builders_outside_the_record():
+    tree = ast.parse("class Frontier:\n"
+                     "    def __iter__(self):\n"
+                     "        return map(FrontierPoint._make, self.rows)\n"
+                     "    def __getitem__(self, i):\n"
+                     "        return FrontierPoint(*self.rows[i])\n"
+                     "def frontier():\n"
+                     "    return list(map(FrontierPoint._make, rows))\n"
+                     "def cmd_solve():\n"
+                     "    point = FrontierPoint(E=1.0, value=0.0, weights=w, efficient=True,\n"
+                     "                          status='Unique')\n"
+                     "def reader(p: FrontierPoint):\n"
+                     "    return p.E\n")
+    assert _row_builders(tree) == {"frontier", "cmd_solve"}
+
+
+def test_frontier_rows_built_only_by_the_record():
+    found = sorted(f"{p.name}:{name}" for p in SRC.glob("*.py")
+                   for name in _row_builders(ast.parse(p.read_text())))
+    assert not found, "return a closedform.Frontier record instead of rows: " + ", ".join(found)
