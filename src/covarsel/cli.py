@@ -63,8 +63,10 @@ class Scenario:
 
     def __init__(self, raw: dict, path: str):
         self.name = raw.get("name", path)
-        mu = _field_list(raw, "mu")
-        sigma = _field_matrix(raw, "sigma", len(mu))
+        mu = _array(raw.get("mu"), "mu", "a non-empty array of numbers")
+        n = len(mu)
+        sigma = _array(raw.get("sigma"), "sigma", f"{n} rows", n,
+                       lambda row, name: _array(row, name, f"a row of {n} numbers", n))
         cond = raw.get("conditioning_asset", 1)
         if not isinstance(cond, int) or isinstance(cond, bool):
             raise ScenarioError("conditioning_asset: expected an integer")
@@ -72,11 +74,11 @@ class Scenario:
         if not isinstance(risk_raw, dict):
             raise ScenarioError("risk: expected an object with a/b or alpha/beta")
         if "a" in risk_raw or "b" in risk_raw:
-            risk = RiskParams(a=_field_num(risk_raw, "a", "risk.a"),
-                              b=_field_num(risk_raw, "b", "risk.b"))
+            risk = RiskParams(a=_number(risk_raw.get("a"), "risk.a"),
+                              b=_number(risk_raw.get("b"), "risk.b"))
         else:
-            risk = RiskParams.from_levels(_field_num(risk_raw, "alpha", "risk.alpha"),
-                                          _field_num(risk_raw, "beta", "risk.beta"))
+            risk = RiskParams.from_levels(_number(risk_raw.get("alpha"), "risk.alpha"),
+                                          _number(risk_raw.get("beta"), "risk.beta"))
         constraints = raw.get("constraints", {})
         if not isinstance(constraints, dict):
             raise ScenarioError("constraints: expected an object")
@@ -93,72 +95,53 @@ class Scenario:
         self.reduced = reduce_model(self.model)
 
 
-def _field_num(obj, key, path):
-    v = obj.get(key)
-    if not isinstance(v, (int, float)) or isinstance(v, bool):
-        raise ScenarioError(f"{path}: expected a number, got {v!r}")
-    return float(v)
+def _number(value, name, integer=False, finite=False):
+    """A number from a scenario file or a flag, as a float; with ``finite``
+    it must be finite, and with ``integer`` it is returned as an int >= 1 (a
+    float only if integral).  A bool, a non-number or an integer too large
+    for a double raises ScenarioError naming ``name``."""
+    want = "an integer >= 1" if integer else "a finite number" if finite else "a number"
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ScenarioError(f"{name}: expected {want}, got {value!r}")
+    try:
+        x = float(value)
+    except OverflowError:
+        raise ScenarioError(f"{name}: an integer of {len(str(abs(value)))} digits "
+                            "is too large for a double") from None
+    if (integer or finite) and not math.isfinite(x) or \
+            integer and not (x == int(x) and x >= 1):
+        raise ScenarioError(f"{name}: expected {want}, got {value!r}")
+    return int(value) if integer else x
 
 
-def _field_list(raw, key):
-    v = raw.get(key)
-    if not isinstance(v, list) or not v or \
-            any(not isinstance(e, (int, float)) or isinstance(e, bool) for e in v):
-        raise ScenarioError(f"{key}: expected a non-empty array of numbers")
-    return [float(e) for e in v]
+def _array(value, name, want, n=None, entry=_number):
+    """The non-empty list ``value``, of length ``n`` when given, with
+    ``entry(e, "name[i]")`` read from each entry."""
+    if not isinstance(value, list) or not value or n not in (None, len(value)):
+        raise ScenarioError(f"{name}: expected {want}")
+    return [entry(e, f"{name}[{i}]") for i, e in enumerate(value)]
 
 
-def _field_matrix(raw, key, n):
-    v = raw.get(key)
-    if not isinstance(v, list) or len(v) != n:
-        raise ScenarioError(f"{key}: expected {n} rows")
-    rows = []
-    for i, row in enumerate(v):
-        if not isinstance(row, list) or len(row) != n:
-            raise ScenarioError(f"{key}[{i}]: expected a row of {n} numbers")
-        for j, e in enumerate(row):
-            if not isinstance(e, (int, float)) or isinstance(e, bool):
-                raise ScenarioError(f"{key}[{i}][{j}]: expected a number, got {e!r}")
-        rows.append([float(e) for e in row])
-    return rows
-
-
-def _target(value, flag, scenario: Scenario, key):
-    """The command-line value, else the scenario's ``targets.<key>``, as a
-    finite float; None when neither is set."""
-    name = flag
+def _request(value, flag, scenario: Scenario, key, integer=False):
+    """The flag's value, else the scenario's ``targets.<key>``, as a finite
+    float (an int >= 1 with ``integer``); None when neither is set."""
     if value is None:
-        value, name = scenario.targets.get(key), f"targets.{key}"
+        value, flag = scenario.targets.get(key), f"targets.{key}"
         if value is None:
             return None
-    if not isinstance(value, (int, float)) or isinstance(value, bool) or \
-            not math.isfinite(value):
-        raise ScenarioError(f"{name}: expected a finite number, got {value!r}")
-    return float(value)
-
-
-def _steps(value, scenario: Scenario):
-    """``--steps``, else the scenario's ``targets.steps``, as an int >= 1;
-    None when neither is set.  A float is accepted only if it is integral."""
-    name = "--steps"
-    if value is None:
-        value, name = scenario.targets.get("steps"), "targets.steps"
-        if value is None:
-            return None
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or \
-            not (math.isfinite(value) and value == int(value) and value >= 1):
-        raise ScenarioError(f"{name}: expected an integer >= 1, got {value!r}")
-    return int(value)
+    return _number(value, flag, integer, finite=True)
 
 
 def load_scenario(path: str) -> Scenario:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ScenarioError(f"cannot read scenario {path!r}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    except (ValueError, RecursionError) as exc:  # an over-long integer, too deep nesting
+        raise ScenarioError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ScenarioError(f"{path}: top level must be an object")
     return Scenario(raw, path)
@@ -365,14 +348,14 @@ def main(argv=None) -> int:
         if args.command == "describe":
             return cmd_describe(scenario, args.format, out)
         if args.command == "solve":
-            target = _target(args.E, "--E", scenario, "E")
+            target = _request(args.E, "--E", scenario, "E")
             if target is None:
                 raise ScenarioError("solve needs --E or targets.E in the scenario")
             return cmd_solve(scenario, target, args.format, out)
         if args.command == "frontier":
-            e_min = _target(args.E_min, "--E-min", scenario, "E_min")
-            e_max = _target(args.E_max, "--E-max", scenario, "E_max")
-            steps = _steps(args.steps, scenario)
+            e_min = _request(args.E_min, "--E-min", scenario, "E_min")
+            e_max = _request(args.E_max, "--E-max", scenario, "E_max")
+            steps = _request(args.steps, "--steps", scenario, "steps", integer=True)
             if e_min is None or e_max is None or steps is None:
                 raise ScenarioError(
                     "frontier needs --E-min/--E-max/--steps or targets in the scenario")
@@ -382,20 +365,18 @@ def main(argv=None) -> int:
             if not (scenario.non_negative or args.non_negative):
                 raise ScenarioError(
                     "constrained solve requires constraints.non_negative or --non-negative")
-            target = None if args.no_target else _target(args.E, "--E", scenario, "E")
+            target = None if args.no_target else _request(args.E, "--E", scenario, "E")
             return cmd_constrained(scenario, target, args.format, out)
-        if args.command == "validate":
-            if args.weights is not None:
-                try:
-                    weights = np.array([float(v) for v in args.weights.split(",")])
-                except ValueError as exc:
-                    raise ScenarioError(f"--weights: {exc}") from exc
-            else:
-                weights = np.full(scenario.model.n, 1.0 / scenario.model.n)
-            cfg = McConfig(samples=args.samples, seed=args.seed,
-                           band_epsilon=args.band_eps)
-            return cmd_validate(scenario, weights, cfg, args.format, out)
-        raise ScenarioError(f"unknown command {args.command!r}")
+        # argparse admits only the five commands, so this one is validate.
+        if args.weights is not None:
+            try:
+                weights = np.array([float(v) for v in args.weights.split(",")])
+            except ValueError as exc:
+                raise ScenarioError(f"--weights: {exc}") from exc
+        else:
+            weights = np.full(scenario.model.n, 1.0 / scenario.model.n)
+        cfg = McConfig(samples=args.samples, seed=args.seed, band_epsilon=args.band_eps)
+        return cmd_validate(scenario, weights, cfg, args.format, out)
     except (NumericalBreakdown, NoConvergence) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

@@ -55,6 +55,10 @@ TARGET_SLACK = 1e-12  # a return this far below a threshold still meets it
 # Least tolerance scale for Delta; it acts only when b^2 alpha_C and
 # a^2 |detG| both fall below it.
 DELTA_SCALE_FLOOR = 1e-300
+# Most grid points of one frontier request.  The request holds the grid, its
+# values and flags and two steps x n weight arrays (internal and caller order),
+# 8 (2n + 3) bytes a point: 10**6 steps hold 0.2 GB at n = 10, 4.8 GB at n = 300.
+_MAX_STEPS = 10 ** 6
 
 
 class SolveStatus(str, Enum):
@@ -372,6 +376,8 @@ def target_grid(e_min: float, e_max: float, steps: int) -> np.ndarray:
         raise DomainError(f"frontier needs E_min <= E_max, got {e_min!r} and {e_max!r}")
     if steps < 1 or (steps == 1 and e_min != e_max):
         raise DomainError("frontier needs steps >= 2, or steps == 1 with E_min == E_max")
+    if steps > _MAX_STEPS:
+        raise DomainError(f"frontier needs steps <= {_MAX_STEPS}, got {steps}")
     return np.linspace(e_min, e_max, steps)
 
 

@@ -63,10 +63,9 @@ class ConstrainedProblem:
 
     def __post_init__(self):
         if self.E is not None:
-            mu = self.model.mu
-            if not (float(mu.min()) - TARGET_SLACK <= self.E <= float(mu.max()) + TARGET_SLACK):
-                raise InfeasibleSlice(
-                    f"target return {self.E!r} outside [{mu.min()!r}, {mu.max()!r}]")
+            lo, hi = float(self.model.mu.min()), float(self.model.mu.max())
+            if not lo - TARGET_SLACK <= self.E <= hi + TARGET_SLACK:
+                raise InfeasibleSlice(f"target return {self.E!r} outside [{lo!r}, {hi!r}]")
 
 
 @dataclass(frozen=True)

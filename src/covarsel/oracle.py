@@ -35,12 +35,17 @@ from .riskmeasures import _raw_rows
 BOOTSTRAP_REPS = 256
 MIN_BAND_KEPT = 100
 _BAND_CHUNK = 1 << 18
+# Most draws of one estimate.  The exact-conditional draws are formed as at
+# most three arrays of ``samples`` doubles at once (the normals, their scaled
+# copy and the shifted sum), 24 bytes a draw: 2.4 GB at 10**8.
+_MAX_SAMPLES = 10 ** 8
 
 
 @dataclass(frozen=True)
 class McConfig:
-    """samples >= 10**4 so quantiles are estimable; band_epsilon defaults to
-    0.05 sigma_Y, balancing band bias against retention."""
+    """samples >= 10**4 so quantiles are estimable, and <= 10**8 to bound the
+    memory one estimate holds; band_epsilon defaults to 0.05 sigma_Y,
+    balancing band bias against retention."""
 
     samples: int = 1_000_000
     seed: int = 0
@@ -49,6 +54,8 @@ class McConfig:
     def __post_init__(self):
         if self.samples < 10_000:
             raise DomainError(f"need at least 1e4 samples, got {self.samples}")
+        if self.samples > _MAX_SAMPLES:
+            raise DomainError(f"need at most {_MAX_SAMPLES} samples, got {self.samples}")
         if self.seed < 0:
             raise DomainError(f"seed must be non-negative, got {self.seed}")
         if self.band_epsilon is not None and not self.band_epsilon > 0.0:

@@ -133,6 +133,15 @@ class TestConstrained:
                              "--non-negative", "--format", "json"])
         assert code == 0
 
+    def test_target_outside_returns_plain_floats(self, scenario_dir):
+        err = io.StringIO()
+        with redirect_stderr(err):
+            code, out = run_cli(["constrained", "--scenario",
+                                 scenario(scenario_dir, "example1"),
+                                 "--non-negative", "--E", "1e200"])
+        assert (code, out) == (2, "")
+        assert err.getvalue() == "error: target return 1e+200 outside [1.0, 4.0]\n"
+
 
 class TestFrontier:
     def test_example3_default_grid(self, scenario_dir):
@@ -314,6 +323,49 @@ def test_bad_scenario_steps_exit_two(scenario_dir, tmp_path, steps):
     assert len(lines) == 1 and lines[0].startswith("error: targets.steps")
 
 
+# An integer too large for a double; JSON carries it exactly.
+_HUGE = 10 ** 400
+
+
+@pytest.mark.parametrize("content,argv,part", [
+    ({"mu": [1, _HUGE, 3]}, ["describe"], "mu[1]: an integer of 401 digits"),
+    ({"mu": [1, 2, "x"]}, ["describe"], "mu[2]: expected a number, got 'x'"),
+    ({"sigma": [[1, 1, 2], [1, _HUGE, 0], [2, 0, 16]]}, ["describe"], "sigma[1][1]:"),
+    ({"risk": {"a": _HUGE, "b": 1.0}}, ["describe"], "risk.a:"),
+    ({"risk": {"alpha": _HUGE, "beta": 0.1}}, ["describe"], "risk.alpha:"),
+    ({"targets": {"E": _HUGE}}, ["solve"], "targets.E:"),
+    ({"targets": {"E_min": _HUGE, "E_max": 3.0, "steps": 5}}, ["frontier"], "targets.E_min:"),
+    ({"targets": {"E_min": 1.0, "E_max": 3.0, "steps": _HUGE}}, ["frontier"], "targets.steps:"),
+    ({}, ["frontier", "--steps", str(_HUGE)], "--steps:"),
+    (b'{"name": "\xe9"}', ["describe"], "cannot read scenario"),
+    (b'{"mu": [1' + b"0" * 5000 + b"]}", ["describe"], "invalid JSON: Exceeds the limit"),
+    (b"[" * 100_000 + b"]" * 100_000, ["describe"], "invalid JSON: maximum recursion"),
+    ({}, ["frontier", "--E-min", "1", "--E-max", "2", "--steps", str(10 ** 20)],
+     "frontier needs steps <="),
+    ({}, ["validate", "--samples", str(10 ** 20)], "need at most"),
+], ids=["mu", "mu-entry-name", "sigma", "risk.a", "risk.alpha", "targets.E",
+        "targets.E_min", "targets.steps", "--steps", "not-utf8", "long-integer",
+        "deep-nesting", "steps-bound", "samples-bound"])
+def test_unreadable_number_or_file_exit_two(scenario_dir, tmp_path, content, argv, part):
+    """A number too large for a double, a file that is not UTF-8, an integer
+    literal too long to convert, nesting too deep to parse, and steps or
+    samples above their bound are input errors: exit 2 with one error line.
+    ``content`` is example 3 with these top-level fields replaced, or the
+    whole file; ``part`` is a piece of the error line."""
+    if isinstance(content, dict):
+        raw = json.loads((scenario_dir / "example3.json").read_text())
+        raw.update(content)
+        content = json.dumps(raw).encode()
+    path = tmp_path / "scenario.json"
+    path.write_bytes(content)
+    err = io.StringIO()
+    with redirect_stderr(err):
+        code, out = run_cli([argv[0], "--scenario", str(path), *argv[1:]])
+    assert (code, out) == (2, "")
+    lines = err.getvalue().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and part in lines[0], lines
+
+
 def test_integral_float_scenario_steps(scenario_dir, tmp_path):
     def edit(raw):
         raw["targets"]["steps"] = 3.0
@@ -454,17 +506,20 @@ _SPECIAL = [0.0, 1e-300, 1e300, -1e300, 1e308, -1e308, math.inf, -math.inf, math
 def _fuzz_case(draw):
     """A scenario (n = 2 to 5) and one CLI call on it.  Numbers are mostly
     moderate; now and then one is scaled by up to 1e40 or replaced by a huge,
-    tiny or non-finite value.  Some markets have a first covariance column
+    tiny or non-finite value, or a risk parameter by an integer too large for
+    a double.  Some markets have a first covariance column
     forced into span(1, mu), which makes (1, mu, q) dependent."""
     def rare(p_in_8):
         return draw(st.integers(0, 7)) >= 8 - p_in_8
 
-    def spoil(x):
+    def spoil(x, exact=False):
+        """``exact`` marks a value written straight into the scenario file,
+        which may also become an integer too large for a double."""
         if rare(2):
             x = x * 10.0 ** draw(st.integers(1, 40))
         if rare(1):
-            x = draw(st.sampled_from(_SPECIAL))
-        return float(x)
+            x = _HUGE if exact and rare(1) else draw(st.sampled_from(_SPECIAL))
+        return x if x is _HUGE else float(x)
 
     n = draw(st.integers(2, 5))
     with np.errstate(all="ignore"):
@@ -495,8 +550,8 @@ def _fuzz_case(draw):
                   else draw(st.floats(-10.0, 10.0)))
             for _ in range(3))
     raw = {"mu": mu.tolist(), "sigma": sigma.tolist(), "conditioning_asset": cond,
-           "risk": {"a": spoil(draw(st.floats(0.05, 3.0))),
-                    "b": spoil(draw(st.floats(0.05, 3.0)))},
+           "risk": {"a": spoil(draw(st.floats(0.05, 3.0)), exact=True),
+                    "b": spoil(draw(st.floats(0.05, 3.0)), exact=True)},
            "constraints": {"non_negative": draw(st.booleans())}}
     argv = draw(st.sampled_from([
         ["describe"],

@@ -3,7 +3,8 @@
 Every tolerance of the package is a named module constant, so no function
 body outside the reference oracle holds a small float literal.  Every
 function the bench tracer wraps exists under its traced name.  Frontier
-rows are built only by the ``Frontier`` record, on demand.
+rows are built only by the ``Frontier`` record, on demand.  The CLI reads
+every number it takes in through one function, ``cli._number``.
 """
 
 import ast
@@ -106,3 +107,42 @@ def test_frontier_rows_built_only_by_the_record():
     found = sorted(f"{p.name}:{name}" for p in SRC.glob("*.py")
                    for name in _row_builders(ast.parse(p.read_text())))
     assert not found, "return a closedform.Frontier record instead of rows: " + ", ".join(found)
+
+
+def _number_checks(tree: ast.AST) -> set[str]:
+    """Names of the functions other than ``_number`` that call
+    ``isinstance(..., (int, float))``."""
+    found = set()
+
+    def visit(node, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                and node.func.id == "isinstance" and len(node.args) == 2 \
+                and isinstance(node.args[1], ast.Tuple) \
+                and {"int", "float"} <= {e.id for e in node.args[1].elts
+                                         if isinstance(e, ast.Name)} \
+                and func != "_number":
+            found.add(func or "<module>")
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(tree, None)
+    return found
+
+
+def test_number_rule_flags_checks_outside_the_reader():
+    tree = ast.parse("def _number(value, name):\n"
+                     "    if not isinstance(value, (int, float)):\n"
+                     "        raise ValueError(name)\n"
+                     "def _steps(v):\n"
+                     "    return isinstance(v, (float, int, str)) and not isinstance(v, bool)\n"
+                     "def _fmt(x):\n"
+                     "    return isinstance(x, float) or isinstance(x, (np.floating, np.integer))\n"
+                     "OK = isinstance(1, (int, float))\n")
+    assert _number_checks(tree) == {"_steps", "<module>"}
+
+
+def test_cli_reads_numbers_only_in_number():
+    found = sorted(_number_checks(ast.parse((SRC / "cli.py").read_text())))
+    assert not found, "read CLI numbers with cli._number: " + ", ".join(found)
