@@ -26,7 +26,7 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
 from covarsel import (ConstrainedProblem, Frontier, RiskParams, constrained_frontier,
-                      frontier, markowitz_frontier, reduce_model, sigma_and_var,
+                      covar_portfolio, frontier, markowitz_frontier, reduce_model,
                       validate_model)
 from covarsel.cli import _emit_points, load_scenario
 
@@ -57,9 +57,9 @@ def example1(outdir, steps):
 
     # Minimum-variance portfolios with their short positions cut and the
     # rest rescaled to the budget.
-    weights = np.maximum(markowitz_frontier(m, grid)[0], 0.0)
+    weights = np.maximum(markowitz_frontier(m, r, grid)[0], 0.0)
     weights /= weights.sum(axis=1, keepdims=True)
-    sigmas = [sigma_and_var(m, w)[0] for w in weights]
+    sigmas = [covar_portfolio(m, r, w).sigma for w in weights]
     write_points(outdir / "example1_constrained_sigma.csv",
                  Frontier(grid, sigmas, weights, np.zeros(steps, bool), "SigmaEnvelope"))
 

@@ -28,7 +28,6 @@ from .model import (MarketModel, RiskParams, ValidatedModel, normal_quantile,
 from .oracle import (Hyperplane, HyperplaneSlice, McConfig, McEstimate,
                      grid_minimize, mc_covar)
 from .reduction import ReducedModel, reduce_model
-from .riskmeasures import (PortfolioReport, covar_portfolio, covar_raw,
-                           sigma_and_var)
+from .riskmeasures import PortfolioReport, covar_portfolio, covar_raw
 
 __version__ = "0.1.0"

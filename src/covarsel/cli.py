@@ -30,7 +30,7 @@ from .errors import (CovarselError, NoConvergence, NumericalBreakdown,
 from .model import MarketModel, RiskParams, validate_model
 from .oracle import McConfig, mc_covar
 from .reduction import reduce_model
-from .riskmeasures import covar_portfolio, sigma_and_var
+from .riskmeasures import covar_portfolio
 
 EXIT_OK = 0
 EXIT_REGIME = 1
@@ -251,8 +251,8 @@ def cmd_frontier(scenario: Scenario, e_min, e_max, steps, mode, fmt, out) -> int
             return EXIT_REGIME
     else:
         grid = target_grid(e_min, e_max, steps)
-        weights, gmv = markowitz_frontier(m, grid)
-        values = [sigma_and_var(m, w)[0 if mode == "sigma" else 1] for w in weights]
+        weights, gmv, sigma = markowitz_frontier(m, r, grid)
+        values = sigma if mode == "sigma" else m.risk.a * sigma - grid
         points = Frontier(grid, values, weights, minimum_variance_efficient(grid, gmv),
                           SolveStatus.UNIQUE.value)
     _emit_points(points, fmt if fmt != "text" else "csv", out)

@@ -29,8 +29,7 @@ When the ones vector, mu and q are linearly dependent, ``q_hat`` is parallel
 to ``mu_hat`` in the ``Qhat^-1`` inner product, so ``beta_C mu_hat - alpha_C
 q_hat = 0`` and ``Delta = b^2 alpha_C > 0``.  The same formula then gives the
 classical minimum-variance portfolio, and the solve only changes its status
-label to ``MarkowitzFallback``.  ``markowitz_frontier`` (Merton's formula)
-remains for the volatility and value-at-risk frontiers.
+label to ``MarkowitzFallback``.  Merton's frontier takes the same basis.
 """
 
 from __future__ import annotations
@@ -43,10 +42,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DimensionMismatch, DomainError, NumericalBreakdown, PreconditionViolated
-from .linalg import solve_cholesky
 from .model import ValidatedModel
 from .reduction import ReducedModel
-from .riskmeasures import _covar_rows, _first
+from .riskmeasures import _covar_rows, _first, _gram_rows
 
 DELTA_RTOL = 1e-12
 CHECK_RTOL = 1e-9
@@ -177,34 +175,9 @@ def classify_efficiency(r: ReducedModel) -> EfficiencyClass:
 
 def minimum_variance_efficient(E, gmv: float):
     """Classical efficiency rule: a minimum-variance portfolio is efficient at
-    or above the global minimum-variance return ``gmv = beta_m / gamma_m``.
+    or above the global minimum-variance return ``gmv``.
     Elementwise over an array of returns E."""
     return np.asarray(E) >= gmv - TARGET_SLACK
-
-
-def markowitz_frontier(m: ValidatedModel, targets) -> tuple[np.ndarray, float]:
-    """Minimum-variance portfolios at every target return (Merton's closed form).
-
-    Returns one row of weights per target, in the caller's asset order, and
-    the global minimum-variance return.  ``sigma^-1 [mu, 1]`` is one
-    substitution on the validated factor ``m.chol`` for all rows.
-    The stationarity condition puts ``sigma @ x`` in span{mu, ones}; both
-    equality constraints are verified row by row to CONSTRAINT_TOL.
-    """
-    targets = np.asarray(targets, dtype=float)
-    ones = np.ones(m.n)
-    si_mu, si_one = solve_cholesky(m.chol, np.column_stack((m.mu, ones))).T
-    alpha_m, beta_m, gamma_m = float(m.mu @ si_mu), float(m.mu @ si_one), float(ones @ si_one)
-    denom = alpha_m * gamma_m - beta_m * beta_m
-    if denom <= 0.0:
-        raise NumericalBreakdown("minimum-variance scalars lost strict positivity")
-    x = (np.outer(targets * gamma_m - beta_m, si_mu)
-         + np.outer(alpha_m - targets * beta_m, si_one)) / denom
-    scale = np.maximum(1.0, np.abs(targets))
-    if not (np.all(np.abs(x @ m.mu - targets) <= CONSTRAINT_TOL * scale)
-            and np.all(np.abs(x.sum(axis=1) - 1.0) <= CONSTRAINT_TOL)):
-        raise NumericalBreakdown("minimum-variance solve violated its constraints")
-    return m.to_original(x), beta_m / gamma_m
 
 
 def _basis(m: ValidatedModel, r: ReducedModel) -> np.ndarray:
@@ -249,6 +222,13 @@ def _unique_critical(m: ValidatedModel, r: ReducedModel, e_hat: np.ndarray):
         return _recheck(m, r, e_hat, coeffs, basis, values), values
 
 
+def _check_return(r: ReducedModel, e_hat: np.ndarray, x: np.ndarray) -> None:
+    """Raise NumericalBreakdown where an internal row of ``x`` misses E_hat (NaN does)."""
+    if not np.all(np.abs(x[:, 1:] @ r.mu_hat - e_hat)
+                  <= CONSTRAINT_TOL * np.maximum(1.0, np.abs(e_hat))):
+        raise NumericalBreakdown("critical solve violated the return constraint")
+
+
 def _recheck(m: ValidatedModel, r: ReducedModel, e_hat: np.ndarray,
              coeffs: np.ndarray, basis: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Form the rows ``coeffs @ basis``, check them, return them (internal order).
@@ -262,9 +242,7 @@ def _recheck(m: ValidatedModel, r: ReducedModel, e_hat: np.ndarray,
     if i is not None:
         raise NumericalBreakdown(f"closed-form value {float(values[i])!r} is not finite")
     x = _rows(coeffs, basis)
-    if not np.all(np.abs(x[:, 1:] @ r.mu_hat - e_hat)
-                  <= CONSTRAINT_TOL * np.maximum(1.0, np.abs(e_hat))):
-        raise NumericalBreakdown("critical solve violated the return constraint")
+    _check_return(r, e_hat, x)
     recheck = _covar_rows(m, r, coeffs, basis)[3]
     i = _first(np.abs(recheck - values) <= CHECK_RTOL * np.maximum(1.0, np.abs(values)))
     if i is not None:
@@ -272,6 +250,36 @@ def _recheck(m: ValidatedModel, r: ReducedModel, e_hat: np.ndarray,
             f"closed-form value {float(values[i])!r} disagrees with "
             f"re-evaluation {float(recheck[i])!r}")
     return x
+
+
+def markowitz_frontier(m: ValidatedModel, r: ReducedModel,
+                       targets) -> tuple[np.ndarray, float, np.ndarray]:
+    """Merton's minimum-variance portfolios on ``_basis``: weights (a row per
+    target, caller's order), the global minimum-variance return and each row's
+    volatility.  For ``x = e_Y + (-1'y, y)``, ``y = s Qhat^-1 mu_hat + t Qhat^-1
+    q_hat`` with ``[[alpha_C, beta_C], [beta_C, 1 + gamma_C]] [s, t]' = [E_hat,
+    -sigma1]``.  Both constraints hold to CONSTRAINT_TOL, and sigma's basis Gram
+    matrix gives the closed-form variance to CHECK_RTOL."""
+    det = r.alpha_C + r.detG
+    if det <= 0.0:
+        raise NumericalBreakdown("minimum-variance scalars lost strict positivity")
+    e_hat = np.asarray(targets, dtype=float) - m.mu1
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails a check
+        s = (e_hat * (1.0 + r.gamma_C) + m.sigma1 * r.beta_C) / det
+        t = -(m.sigma1 * r.alpha_C + e_hat * r.beta_C) / det
+        coeffs = np.array((np.ones_like(s), s + t * r.beta_C / r.alpha_C, -t / r.alpha_C)).T
+        basis = _basis(m, r)
+        x = _rows(coeffs, basis)
+        _check_return(r, e_hat, x)
+        if not np.all(np.abs(x.sum(axis=1) - 1.0) <= CONSTRAINT_TOL):
+            raise NumericalBreakdown("minimum-variance solve violated its constraints")
+        variance = ((m.sigma1 + s * r.beta_C + t * r.gamma_C) ** 2
+                    + s * s * r.alpha_C + 2.0 * s * t * r.beta_C + t * t * r.gamma_C)
+        sigma2 = _gram_rows(coeffs, basis, m.sigma)
+    i = _first(np.abs(sigma2 - variance) <= CHECK_RTOL * np.maximum(1.0, variance))
+    if i is not None:
+        raise NumericalBreakdown(f"minimum variance {float(variance[i])!r} vs {float(sigma2[i])!r}")
+    return m.to_original(x), m.mu1 - m.sigma1 * r.beta_C / (1.0 + r.gamma_C), np.sqrt(sigma2)
 
 
 def _ray(m: ValidatedModel, r: ReducedModel, e_hat: float):

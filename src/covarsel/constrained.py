@@ -36,7 +36,7 @@ from .closedform import CONSTRAINT_TOL, TARGET_SLACK, Frontier
 from .riskmeasures import QUAD_FLOOR, _raw_value
 
 ACTIVE_TOL = 1e-7
-DUAL_TOL = 1e-8
+DUAL_TOL = 1e-8  # relative to max|g|, so the stop rule is free of the market's units
 RANK_RTOL = 1e-12
 ROUNDS_PER_ASSET = 10
 TIE_RTOL = 1e-9  # relative gap at which f(e1) and the facet minimum tie
@@ -247,7 +247,7 @@ def _active_set(c, big_q, b_risk, rows, x, free, budget):
         x[idx] = np.maximum(xf + step, 0.0)
         g = _gradient(c, big_q, b_risk, x)
         _, min_dual, release = _bound_duals(g, rows, free)
-        if min_dual >= -DUAL_TOL * max(1.0, float(np.abs(g).max())):
+        if min_dual >= -DUAL_TOL * float(np.abs(g).max()):
             return x, rounds
         free[list(release)] = True
     raise NoConvergence(f"active-set solve did not finish in {budget} rounds")

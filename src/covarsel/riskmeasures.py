@@ -18,7 +18,6 @@ frontier rechecks a whole grid, whose rows span three vectors, in O(n^2).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -140,11 +139,4 @@ def covar_portfolio(m: ValidatedModel, r: ReducedModel, x) -> PortfolioReport:
                            rho=rho, covar=value)
 
 
-def sigma_and_var(m: ValidatedModel, x) -> tuple[float, float]:
-    """Volatility and plain value-at-risk ``-x'mu + a sigma(x)``."""
-    xi = m.to_internal(x)
-    sigma = math.sqrt(max(0.0, float(xi @ m.sigma @ xi)))
-    return sigma, float(-(xi @ m.mu) + m.risk.a * sigma)
-
-
-__all__ = ["PortfolioReport", "covar_portfolio", "covar_raw", "sigma_and_var"]
+__all__ = ["PortfolioReport", "covar_portfolio", "covar_raw"]

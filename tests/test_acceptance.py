@@ -225,9 +225,9 @@ def test_criterion_6_invariant_suites():
 
     from scipy.optimize import minimize as scipy_minimize
     for _ in range(n_inst):  # plain-VaR argmin equals the volatility argmin
-        m, _ = random_model(rng, n=int(rng.integers(3, 6)))
+        m, r = random_model(rng, n=int(rng.integers(3, 6)))
         target = float(rng.uniform(m.mu.min(), m.mu.max()))
-        x_sigma = m.to_internal(markowitz_frontier(m, [target])[0][0])
+        x_sigma = m.to_internal(markowitz_frontier(m, r, [target])[0][0])
         rows = np.vstack([np.ones(m.n), m.mu])
         x0, *_ = np.linalg.lstsq(rows, np.array([1.0, target]), rcond=None)
         _, _, vt = np.linalg.svd(rows)

@@ -13,7 +13,7 @@ from covarsel import (EfficiencyClass, LemmaParams, NumericalBreakdown,
                       PreconditionViolated, ReducedModel, RiskParams, SolveStatus,
                       covar_portfolio, covar_raw, classify_efficiency, frontier,
                       lemma_minimize, markowitz_frontier,
-                      point_is_efficient,
+                      point_is_efficient, reduce_model,
                       solve_critical, validate_model, MarketModel)
 from covarsel.closedform import (CONSTRAINT_TOL, Frontier, FrontierPoint, _closed_form,
                                  _recheck)
@@ -288,17 +288,17 @@ class TestMarkowitz:
     def test_global_minimum_variance_portfolio(self):
         rng = np.random.default_rng(41)
         for _ in range(20):
-            m, _ = random_model(rng)
+            m, r = random_model(rng)
             sigma_inv_one = np.linalg.solve(m.sigma, np.ones(m.n))
             gamma_m = float(np.ones(m.n) @ sigma_inv_one)
             beta_m = float(m.mu @ sigma_inv_one)
-            x = markowitz_frontier(m, [beta_m / gamma_m])[0][0]
+            x = markowitz_frontier(m, r, [beta_m / gamma_m])[0][0]
             assert np.allclose(m.to_internal(x), sigma_inv_one / gamma_m, atol=1e-10)
 
     def test_example3_against_kkt_system(self, example3):
-        m, _ = example3
+        m, r = example3
         target = 2.0
-        x = markowitz_frontier(m, [target])[0][0]
+        x = markowitz_frontier(m, r, [target])[0][0]
         # independent route: bordered KKT system of the equality QP
         n = m.n
         kkt = np.zeros((n + 2, n + 2))
@@ -317,8 +317,47 @@ class TestMarkowitz:
         m = validate_model(MarketModel(mu=[1.0, 2.0], sigma=np.eye(2),
                                        conditioning_asset=1, risk=RiskParams(a=1, b=1)))
         for e in (1.0, 1.3, 2.0, 2.5):
-            x = markowitz_frontier(m, [e])[0][0]
+            x = markowitz_frontier(m, reduce_model(m), [e])[0][0]
             assert np.allclose(x, [2.0 - e, e - 1.0], atol=1e-12)
+
+    def test_sigma_and_gmv_from_sigma_alone(self):
+        """The volatility column against ``sqrt(diag(W sigma W'))`` and the
+        global minimum-variance return against ``beta_m / gamma_m`` from
+        ``sigma^-1 [mu, 1]``, all in the caller's order."""
+        rng = np.random.default_rng(43)
+        for _ in range(30):
+            n = int(rng.integers(2, 12))
+            mat = rng.normal(size=(n, n))
+            sigma = mat @ mat.T + 0.5 * np.trace(mat @ mat.T) / n * np.eye(n)
+            mu = rng.normal(size=n)
+            m = validate_model(MarketModel(mu=mu, sigma=sigma,
+                                           conditioning_asset=int(rng.integers(1, n + 1)),
+                                           risk=RiskParams(a=1.0, b=1.5)))
+            targets = rng.uniform(mu.min() - 1.0, mu.max() + 1.0, size=7)
+            weights, gmv, vol = markowitz_frontier(m, reduce_model(m), targets)
+            exact = np.sqrt(np.einsum("ij,jk,ik->i", weights, sigma, weights))
+            assert np.max(np.abs(vol - exact) / exact) <= 1e-12
+            si_mu, si_one = np.linalg.solve(sigma, np.column_stack((mu, np.ones(n)))).T
+            assert gmv == pytest.approx(mu @ si_one / si_one.sum(), rel=1e-12, abs=1e-12)
+
+    def test_corrupted_solve_fails_the_return_check(self, example3):
+        m, r = example3
+        bad = dataclasses.replace(r, qinv_mu=1.001 * r.qinv_mu)
+        with pytest.raises(NumericalBreakdown, match="return constraint"):
+            markowitz_frontier(m, bad, [0.5, 2.0])
+
+    def test_corrupted_solve_fails_the_variance_check(self):
+        # beta_C = 0 here (q_hat = -1 and mu_hat sums to zero under Qhat = I),
+        # so a scaled Qhat^-1 q_hat keeps every return and moves only the
+        # variance off the closed form.
+        m = validate_model(MarketModel(mu=[1.0, 2.0, 0.0], sigma=np.eye(3),
+                                       conditioning_asset=1, risk=RiskParams(a=1, b=1)))
+        r = reduce_model(m)
+        assert r.beta_C == 0.0
+        markowitz_frontier(m, r, [0.5, 2.0])
+        bad = dataclasses.replace(r, qinv_qh=1.001 * r.qinv_qh)
+        with pytest.raises(NumericalBreakdown, match="minimum variance"):
+            markowitz_frontier(m, bad, [0.5, 2.0])
 
 
 class TestFrontier:
@@ -583,7 +622,7 @@ class TestDependentMarkets:
             assert not r.independent
             span = float(np.ptp(m.mu))
             pts = frontier(m, r, m.mu1 - span, m.mu1 + span, 41)
-            ref, _ = markowitz_frontier(m, [p.E for p in pts])
+            ref, _, _ = markowitz_frontier(m, r, [p.E for p in pts])
             assert np.max(np.abs(np.array([p.weights for p in pts]) - ref)) <= 1e-12
             assert all(p.status == SolveStatus.MARKOWITZ_FALLBACK.value for p in pts)
             sol = solve_critical(m, r, pts[7].E)

@@ -364,3 +364,31 @@ def test_badly_scaled_slices(seed, floor):
         assert values[0] <= best + 1e-9 * max(1.0, abs(best)), (seed, draw, values[0], best)
         solved += 1
     assert solved >= floor
+
+
+def test_slice_answers_free_of_units():
+    """Scaling mu by 2^k and sigma by 4^k scales every volatility, the target
+    and the optimum by 2^k.  On 40 random median slices (n = 2-29) the answer
+    of every rescaled market, times 2^-k, must be no worse than the unit
+    answer by 1e-9 max(1, |v|)."""
+    rng = np.random.default_rng(7)
+
+    def value(mu, sigma, cond, a, target, k):
+        m = validate_model(MarketModel(mu=mu * 2.0 ** k, sigma=sigma * 4.0 ** k,
+                                       conditioning_asset=cond, risk=RiskParams(a=a, b=2.5)))
+        sol = minimize_constrained(ConstrainedProblem(model=m, reduced=reduce_model(m),
+                                                      E=target * 2.0 ** k))
+        return sol.value * 2.0 ** -k
+
+    for draw in range(40):
+        n = int(rng.integers(2, 30))
+        mat = rng.normal(size=(n, n))
+        sigma = mat @ mat.T + 0.5 * np.trace(mat @ mat.T) / n * np.eye(n)
+        mu = rng.normal(size=n)
+        cond = int(rng.integers(1, n + 1))
+        a = float(rng.uniform(0.3, 2.5))
+        target = float(np.median(mu))
+        unit = value(mu, sigma, cond, a, target, 0)
+        for k in (-30, -24, 20, 30):
+            scaled = value(mu, sigma, cond, a, target, k)
+            assert scaled <= unit + 1e-9 * max(1.0, abs(unit)), (draw, k, scaled, unit)

@@ -238,8 +238,8 @@ def test_shared_factor_against_explicit_inverse(n):
 def test_one_factorization_from_validation_to_oracle(monkeypatch):
     """validate -> reduce -> frontier -> mc_covar -> constrained solves on the
     simplex and on a slice -> Markowitz frontier factors sigma once: nothing
-    after validation factors a matrix, and the reduction and the Markowitz
-    frontier are one substitution each on that factor."""
+    after validation factors a matrix, and the reduction is the one
+    substitution on that factor."""
     calls = {"cholesky_spd": 0, "solve_cholesky": 0}
     for name in calls:
         original = getattr(linalg, name)
@@ -262,5 +262,5 @@ def test_one_factorization_from_validation_to_oracle(monkeypatch):
     minimize_constrained(ConstrainedProblem(model=m, reduced=r))
     minimize_constrained(ConstrainedProblem(model=m, reduced=r, E=2.5))
     assert calls == {"cholesky_spd": 1, "solve_cholesky": 1}
-    markowitz_frontier(m, [1.5, 2.5])
-    assert calls == {"cholesky_spd": 1, "solve_cholesky": 2}
+    markowitz_frontier(m, r, [1.5, 2.5])
+    assert calls == {"cholesky_spd": 1, "solve_cholesky": 1}

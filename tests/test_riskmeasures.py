@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from covarsel import (DomainError, McConfig, NumericalBreakdown, covar_portfolio, covar_raw,
-                      markowitz_frontier, mc_covar, sigma_and_var)
+                      markowitz_frontier, mc_covar)
 from covarsel.riskmeasures import RHO_TOL, ROUTE_RTOL, _covar_rows, _first
 from helpers import random_model
 
@@ -106,9 +106,8 @@ class TestPortfolioValue:
 @pytest.mark.parametrize("evaluate", [
     lambda m, r, x: covar_raw(m, r, x),
     lambda m, r, x: covar_portfolio(m, r, x),
-    lambda m, r, x: sigma_and_var(m, x),
     lambda m, r, x: mc_covar(m, x, McConfig(samples=10_000)),
-], ids=["covar_raw", "covar_portfolio", "sigma_and_var", "mc_covar"])
+], ids=["covar_raw", "covar_portfolio", "mc_covar"])
 def test_non_finite_weights_are_domain_errors(example2, evaluate, bad):
     m, r = example2
     with pytest.raises(DomainError, match="finite"):
@@ -117,23 +116,22 @@ def test_non_finite_weights_are_domain_errors(example2, evaluate, bad):
 
 class TestSigmaAndVar:
     def test_example1_first_asset(self, example1):
-        m, _ = example1
-        sigma, var = sigma_and_var(m, np.array([1.0, 0.0, 0.0]))
-        assert sigma == pytest.approx(1.0)
-        assert var == pytest.approx(-1.0 + 0.8)
+        rep = covar_portfolio(*example1, np.array([1.0, 0.0, 0.0]))
+        assert rep.sigma == pytest.approx(1.0)
+        assert rep.var_alpha == pytest.approx(-1.0 + 0.8)
 
     def test_example2_second_asset(self, example2):
-        m, _ = example2
-        sigma, var = sigma_and_var(m, np.array([0.0, 1.0, 0.0]))
-        assert sigma == pytest.approx(1.0)
-        assert var == pytest.approx(-3.0 + 1.0)
+        rep = covar_portfolio(*example2, np.array([0.0, 1.0, 0.0]))
+        assert rep.sigma == pytest.approx(1.0)
+        assert rep.var_alpha == pytest.approx(-3.0 + 1.0)
 
     def test_definitional_identity(self):
         rng = np.random.default_rng(9)
         for _ in range(50):
-            m, _ = random_model(rng)
+            m, r = random_model(rng)
             x = rng.dirichlet(np.ones(m.n))
-            sigma, var = sigma_and_var(m, x)
+            rep = covar_portfolio(m, r, x)
+            sigma, var = rep.sigma, rep.var_alpha
             assert var == pytest.approx(-(x @ m.to_original(m.mu)) + m.risk.a * sigma,
                                         rel=1e-12, abs=1e-12)
 
@@ -211,9 +209,9 @@ def _var_minimizer_numeric(m, target):
 def test_var_and_sigma_share_their_minimizer():
     rng = np.random.default_rng(24)
     for _ in range(40):
-        m, _ = random_model(rng, n=int(rng.integers(3, 6)))
+        m, r = random_model(rng, n=int(rng.integers(3, 6)))
         target = float(rng.uniform(m.mu.min(), m.mu.max()))
-        sigma_argmin = m.to_internal(markowitz_frontier(m, [target])[0][0])
+        sigma_argmin = m.to_internal(markowitz_frontier(m, r, [target])[0][0])
         var_argmin = _var_minimizer_numeric(m, target)
         assert np.max(np.abs(sigma_argmin - var_argmin)) < 1e-8
 

@@ -4,7 +4,9 @@ Every tolerance of the package is a named module constant, so no function
 body outside the reference oracle holds a small float literal.  Every
 function the bench tracer wraps exists under its traced name.  Frontier
 rows are built only by the ``Frontier`` record, on demand.  The CLI reads
-every number it takes in through one function, ``cli._number``.
+every number it takes in through one function, ``cli._number``.  Only the
+reduction solves on the Cholesky factor: every closed form is built from its
+two solves.
 """
 
 import ast
@@ -146,3 +148,34 @@ def test_number_rule_flags_checks_outside_the_reader():
 def test_cli_reads_numbers_only_in_number():
     found = sorted(_number_checks(ast.parse((SRC / "cli.py").read_text())))
     assert not found, "read CLI numbers with cli._number: " + ", ".join(found)
+
+
+# The modules that may name ``linalg.solve_cholesky``: its definition and the
+# reduction, whose two solves every closed-form portfolio is built from.
+SOLVERS = {"linalg.py", "reduction.py"}
+
+
+def _name_lines(tree: ast.AST, name: str) -> set[int]:
+    """Lines where ``name`` is used, imported or read as an attribute."""
+    return {node.lineno for node in ast.walk(tree)
+            if (isinstance(node, ast.Name) and node.id == name)
+            or (isinstance(node, ast.Attribute) and node.attr == name)
+            or (isinstance(node, ast.alias) and node.name == name)}
+
+
+def test_solve_rule_flags_imports_names_and_attributes():
+    tree = ast.parse("from .linalg import solve_cholesky as solve\n"
+                     "from . import linalg\n"
+                     "x = linalg.solve_cholesky(low, rhs)\n"
+                     "def f(low):\n"
+                     "    return solve(low, rhs)  # not solve_cholesky\n"
+                     "solve_cholesky = None\n")
+    assert _name_lines(tree, "solve_cholesky") == {1, 3, 6}
+
+
+def test_only_the_reduction_solves_on_the_factor():
+    paths = sorted(p for p in SRC.glob("*.py") if p.name not in SOLVERS)
+    assert len(paths) > 5
+    found = [f"{p.name}:{line}" for p in paths
+             for line in sorted(_name_lines(ast.parse(p.read_text()), "solve_cholesky"))]
+    assert not found, "build closed forms from reduce_model's two solves: " + ", ".join(found)
