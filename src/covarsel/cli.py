@@ -48,6 +48,14 @@ def _fmt(x) -> str:
     return str(x)
 
 
+def _csv_field(text: str) -> str:
+    """``text`` as one RFC 4180 field: quoted, with its quotes doubled, when it
+    holds a comma, a quote or a line break, as a vector or a matrix does."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def _jsonable(x):
     if isinstance(x, np.ndarray):
         return [float(v) for v in x]
@@ -152,8 +160,8 @@ def _emit_record(record: dict, fmt: str, out):
         print(json.dumps({k: _jsonable(v) for k, v in record.items()}), file=out)
     elif fmt == "csv":
         keys = list(record.keys())
-        print(",".join(keys), file=out)
-        print(",".join(_fmt(_jsonable(record[k])) for k in keys), file=out)
+        print(",".join(map(_csv_field, keys)), file=out)
+        print(",".join(_csv_field(_fmt(_jsonable(record[k]))) for k in keys), file=out)
     else:
         for k, v in record.items():
             print(f"{k} = {_fmt(_jsonable(v))}", file=out)
@@ -161,10 +169,11 @@ def _emit_record(record: dict, fmt: str, out):
 
 def _point_rows(points: Frontier):
     """Column names, and one tuple of Python values per point."""
+    weights = points.weights
     return (["E", "value", "efficient", "status"]
-            + [f"w{i}" for i in range(1, points.weights.shape[1] + 1)],
+            + [f"w{i}" for i in range(1, weights.shape[1] + 1)],
             zip(points.E.tolist(), points.value.tolist(), points.efficient.tolist(),
-                [points.status] * len(points), *points.weights.T.tolist()))
+                [points.status] * len(points), *weights.T.tolist()))
 
 
 def _emit_points(points: Frontier, fmt, out):

@@ -17,9 +17,11 @@ separates three regimes:
 ``reduce_model`` keeps the two solves behind the minimizer, so a solve costs
 no factorization.  Every closed-form portfolio and ray is a combination of one
 basis of three internal vectors, ``e_Y`` and the two directions lifted to sum
-to zero (``_basis``): ``frontier`` forms its grid from it, ``solve_critical``
-is its one-row case, and the recheck reads all rows off the basis' 3 x 3 Gram
-matrices in O(n^2).
+to zero (``_basis``).  A frontier is k x 3 coefficients on that basis: the
+recheck reads every row's return and risk off the basis in O(n^2) without
+forming a row, the ``Frontier`` record keeps the coefficients and the basis in
+the caller's order, and its rows are formed only when read.
+``solve_critical`` is the one-row case.
 
 In the degenerate regimes the solver returns an explicit feasible ray along
 which the objective decreases (to the infimum, or without bound), so the
@@ -53,9 +55,11 @@ TARGET_SLACK = 1e-12  # a return this far below a threshold still meets it
 # Least tolerance scale for Delta; it acts only when b^2 alpha_C and
 # a^2 |detG| both fall below it.
 DELTA_SCALE_FLOOR = 1e-300
-# Most grid points of one frontier request.  The request holds the grid, its
-# values and flags and two steps x n weight arrays (internal and caller order),
-# 8 (2n + 3) bytes a point: 10**6 steps hold 0.2 GB at n = 10, 4.8 GB at n = 300.
+# Most grid points of one frontier request.  Whatever n, the request holds the
+# grid, its values and flags, three coefficients a point and their k x 3
+# temporaries, about 150 bytes a point (0.15 GB at 10**6 steps).  A reader of
+# ``Frontier.weights``, such as the CLI, forms the k x n rows with one k x n
+# temporary, 16 n bytes a point more: 0.16 GB at n = 10, 4.8 GB at n = 300.
 _MAX_STEPS = 10 ** 6
 
 
@@ -191,12 +195,13 @@ def _basis(m: ValidatedModel, r: ReducedModel) -> np.ndarray:
 
 
 def _rows(coeffs: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """``coeffs @ basis`` term by term from ``e_Y``: no row's bits depend on the
-    other rows, and a row with zero direction coefficients is exactly ``e_Y``."""
-    x = basis[0] * coeffs[:, :1]
-    term = np.multiply(basis[1], coeffs[:, 1:2])
+    """``coeffs @ basis`` term by term from ``e_Y``, for k x 3 ``coeffs`` or one
+    row of them: no row's bits depend on the other rows, and a row with zero
+    direction coefficients is exactly ``e_Y``."""
+    x = basis[0] * coeffs[..., :1]
+    term = np.multiply(basis[1], coeffs[..., 1:2])
     x += term
-    x += np.multiply(basis[2], coeffs[:, 2:], out=term)
+    x += np.multiply(basis[2], coeffs[..., 2:], out=term)
     return x
 
 
@@ -216,22 +221,26 @@ def _closed_form(m: ValidatedModel, r: ReducedModel, e_hat: np.ndarray):
 
 
 def _unique_critical(m: ValidatedModel, r: ReducedModel, e_hat: np.ndarray):
-    """``_closed_form`` checked by ``_recheck``: internal weights and values."""
+    """``_closed_form`` checked by ``_recheck``: coefficients, internal basis
+    and values."""
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails a check
         coeffs, basis, values = _closed_form(m, r, e_hat)
-        return _recheck(m, r, e_hat, coeffs, basis, values), values
+        _recheck(m, r, e_hat, coeffs, basis, values)
+    return coeffs, basis, values
 
 
-def _check_return(r: ReducedModel, e_hat: np.ndarray, x: np.ndarray) -> None:
-    """Raise NumericalBreakdown where an internal row of ``x`` misses E_hat (NaN does)."""
-    if not np.all(np.abs(x[:, 1:] @ r.mu_hat - e_hat)
+def _check_return(r: ReducedModel, e_hat: np.ndarray, coeffs: np.ndarray,
+                  basis: np.ndarray) -> None:
+    """Raise NumericalBreakdown where a row of ``coeffs @ basis`` (internal
+    order) misses E_hat on its trailing weights, read off the basis (NaN does)."""
+    if not np.all(np.abs(coeffs @ (basis[:, 1:] @ r.mu_hat) - e_hat)
                   <= CONSTRAINT_TOL * np.maximum(1.0, np.abs(e_hat))):
         raise NumericalBreakdown("critical solve violated the return constraint")
 
 
 def _recheck(m: ValidatedModel, r: ReducedModel, e_hat: np.ndarray,
-             coeffs: np.ndarray, basis: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Form the rows ``coeffs @ basis``, check them, return them (internal order).
+             coeffs: np.ndarray, basis: np.ndarray, values: np.ndarray) -> None:
+    """Check the rows ``coeffs @ basis`` through the basis, without forming them.
 
     Every closed-form value must be finite, every row must meet its return
     constraint in excess space, on its trailing weights, to CONSTRAINT_TOL,
@@ -241,15 +250,13 @@ def _recheck(m: ValidatedModel, r: ReducedModel, e_hat: np.ndarray,
     i = _first(np.isfinite(values))
     if i is not None:
         raise NumericalBreakdown(f"closed-form value {float(values[i])!r} is not finite")
-    x = _rows(coeffs, basis)
-    _check_return(r, e_hat, x)
+    _check_return(r, e_hat, coeffs, basis)
     recheck = _covar_rows(m, r, coeffs, basis)[3]
     i = _first(np.abs(recheck - values) <= CHECK_RTOL * np.maximum(1.0, np.abs(values)))
     if i is not None:
         raise NumericalBreakdown(
             f"closed-form value {float(values[i])!r} disagrees with "
             f"re-evaluation {float(recheck[i])!r}")
-    return x
 
 
 def markowitz_frontier(m: ValidatedModel, r: ReducedModel,
@@ -269,8 +276,8 @@ def markowitz_frontier(m: ValidatedModel, r: ReducedModel,
         t = -(m.sigma1 * r.alpha_C + e_hat * r.beta_C) / det
         coeffs = np.array((np.ones_like(s), s + t * r.beta_C / r.alpha_C, -t / r.alpha_C)).T
         basis = _basis(m, r)
+        _check_return(r, e_hat, coeffs, basis)
         x = _rows(coeffs, basis)
-        _check_return(r, e_hat, x)
         if not np.all(np.abs(x.sum(axis=1) - 1.0) <= CONSTRAINT_TOL):
             raise NumericalBreakdown("minimum-variance solve violated its constraints")
         variance = ((m.sigma1 + s * r.beta_C + t * r.gamma_C) ** 2
@@ -306,8 +313,8 @@ def solve_critical(m: ValidatedModel, r: ReducedModel, E: float) -> CriticalSolu
     e_hat = float(E) - m.mu1
     regime = _delta_regime(r)
     if regime == 1:
-        x_int, values = _unique_critical(m, r, np.array([e_hat]))
-        return CriticalSolution(E_hat=e_hat, x=m.to_original(x_int[0]),
+        coeffs, basis, values = _unique_critical(m, r, np.array([e_hat]))
+        return CriticalSolution(E_hat=e_hat, x=m.to_original(_rows(coeffs, basis)[0]),
                                 value=float(values[0]), status=solvability_status(r),
                                 efficiency_class=classify_efficiency(r))
 
@@ -330,40 +337,66 @@ class FrontierPoint(NamedTuple):
     status: str
 
 
-@dataclass(frozen=True, eq=False, slots=True)
+@dataclass(frozen=True, eq=False)
 class Frontier:
     """A sampled frontier as read-only columns: ``E``, ``value``, ``efficient``
     (k each), ``weights`` (k x n, caller's asset order) and one ``status``.
     Iteration and indexing yield ``FrontierPoint`` rows with Python floats and
-    bools; a slice yields a ``Frontier``, and scalars make a one-row record."""
+    bools; a slice yields a ``Frontier``, and scalars make a one-row record.
+
+    ``weights`` is ``coeffs @ basis`` when a ``basis`` (p x n, caller's order)
+    is given, with ``coeffs`` k x p, and ``coeffs`` itself otherwise.  A
+    closed-form frontier keeps its k x 3 coefficients and the three basis
+    vectors, and forms ``weights`` afresh on each read: the whole column, or
+    one row per point that iteration or indexing yields.
+    """
 
     E: np.ndarray
     value: np.ndarray
-    weights: np.ndarray
+    coeffs: np.ndarray
     efficient: np.ndarray
     status: str
+    basis: np.ndarray | None = None
 
     def __post_init__(self):
         for name, dtype, ndim in (("E", float, 1), ("value", float, 1),
-                                  ("weights", float, 2), ("efficient", bool, 1)):
+                                  ("coeffs", float, 2), ("efficient", bool, 1),
+                                  ("basis", float, 2)):
+            if getattr(self, name) is None:
+                continue
             arr = np.array(getattr(self, name), dtype=dtype, copy=None, ndmin=ndim).view()
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
-        if not self.E.shape == self.value.shape == self.efficient.shape == self.weights.shape[:1]:
+        if not self.E.shape == self.value.shape == self.efficient.shape == self.coeffs.shape[:1] \
+                or self.basis is not None and self.coeffs.shape[1:] != self.basis.shape[:1]:
             raise DimensionMismatch("frontier columns must have one entry per point")
+
+    def _weights(self, coeffs: np.ndarray) -> np.ndarray:
+        """Read-only weights for ``coeffs``, ``self.coeffs`` or one of its rows."""
+        if self.basis is None:
+            return coeffs
+        x = _rows(coeffs, self.basis)
+        x.flags.writeable = False
+        return x
+
+    @property
+    def weights(self) -> np.ndarray:
+        return self._weights(self.coeffs)
 
     def __len__(self) -> int:
         return self.E.shape[0]
 
     def __iter__(self):
-        return map(FrontierPoint._make, zip(self.E.tolist(), self.value.tolist(), self.weights,
+        return map(FrontierPoint._make, zip(self.E.tolist(), self.value.tolist(),
+                                            map(self._weights, self.coeffs),
                                             self.efficient.tolist(), [self.status] * len(self)))
 
     def __getitem__(self, i):
-        E, value, weights, efficient = self.E[i], self.value[i], self.weights[i], self.efficient[i]
+        E, value, coeffs, efficient = self.E[i], self.value[i], self.coeffs[i], self.efficient[i]
         if isinstance(i, slice):
-            return Frontier(E, value, weights, efficient, self.status)
-        return FrontierPoint(float(E), float(value), weights, bool(efficient), self.status)
+            return Frontier(E, value, coeffs, efficient, self.status, self.basis)
+        return FrontierPoint(float(E), float(value), self._weights(coeffs), bool(efficient),
+                             self.status)
 
 
 def point_is_efficient(eff: EfficiencyClass, e_hat):
@@ -395,17 +428,19 @@ def frontier(m: ValidatedModel, r: ReducedModel, e_min: float, e_max: float,
 
     Requires Delta > 0, dependent (1, mu, q) included; points are flagged
     efficient by ``classify_efficiency`` and labelled by
-    ``solvability_status``.  The whole grid is formed from the one basis and
-    rechecked through it as one batch, with the same per-point checks
-    as ``solve_critical``; each row equals ``solve_critical`` at its target.
-    Returns one ``Frontier`` record, ordered by E.
+    ``solvability_status``.  The whole grid is taken as coefficients on the
+    one basis and rechecked through it as one batch, with the same per-point
+    checks as ``solve_critical``; each row equals ``solve_critical`` at its
+    target.  Returns one ``Frontier`` record, ordered by E, that keeps the
+    coefficients and the basis and forms its rows only when they are read.
     """
     grid = target_grid(e_min, e_max, steps)
     if _delta_regime(r) != 1:
         raise PreconditionViolated(
             f"frontier is defined only for Delta > 0, got Delta={r.Delta!r}")
     e_hat = grid - m.mu1
-    x_int, values = _unique_critical(m, r, e_hat)
+    coeffs, basis, values = _unique_critical(m, r, e_hat)
     flags = np.zeros(grid.shape, bool)
     flags |= point_is_efficient(classify_efficiency(r), e_hat)
-    return Frontier(grid, values, m.to_original(x_int), flags, solvability_status(r).value)
+    return Frontier(grid, values, coeffs, flags, solvability_status(r).value,
+                    m.to_original(basis))

@@ -227,6 +227,30 @@ class TestRoundTrip:
                 assert float(cr[key]) == jr[key]
             assert (cr["efficient"] == "true") == jr["efficient"]
 
+    @pytest.mark.parametrize("name,argv", [("example1", ["describe"]),
+                                           ("example2", ["describe"]),
+                                           ("example3", ["describe"]),
+                                           ("example1", ["solve", "--E", "2"])])
+    def test_record_csv_reads_back_like_json(self, scenario_dir, name, argv):
+        """A record's vector and matrix fields are quoted, so its CSV reads
+        back as one row with the header's keys and the JSON record's values."""
+        args = [*argv, "--scenario", scenario(scenario_dir, name)]
+        code, csv_out = run_cli([*args, "--format", "csv"])
+        json_code, json_out = run_cli([*args, "--format", "json"])
+        record = json.loads(json_out)
+        reader = csv.DictReader(io.StringIO(csv_out))
+        rows = list(reader)
+        assert code == json_code and len(rows) == 1
+        assert reader.fieldnames == list(record) and None not in rows[0]
+        arrays = [k for k in ("q", "Qhat", "mu_hat", "q_hat", "ray_base", "ray_direction")
+                  if k in record]
+        assert arrays
+        for key in arrays:
+            assert json.loads(rows[0][key]) == record[key]
+        for key, value in record.items():
+            if isinstance(value, str):
+                assert rows[0][key] == value
+
     def test_reparse_matches_in_memory_records(self, scenario_dir, example3):
         from covarsel import frontier
         m, r = example3

@@ -15,8 +15,8 @@ from covarsel import (EfficiencyClass, LemmaParams, NumericalBreakdown,
                       lemma_minimize, markowitz_frontier,
                       point_is_efficient, reduce_model,
                       solve_critical, validate_model, MarketModel)
-from covarsel.closedform import (CONSTRAINT_TOL, Frontier, FrontierPoint, _closed_form,
-                                 _recheck)
+from covarsel.closedform import (CONSTRAINT_TOL, Frontier, FrontierPoint, _basis,
+                                 _closed_form, _recheck, _rows)
 from covarsel.riskmeasures import _covar_rows, _gram_rows, _raw_rows
 from helpers import (covar_value_raw, golden_section, near_dependent_model, random_model,
                      random_model_delta)
@@ -670,7 +670,8 @@ class TestBatchedRecheck:
             e_hat = np.linspace(-span, span, 101)
             coeffs, basis, values = _closed_form(m, r, e_hat)
             via_basis = _covar_rows(m, r, coeffs, basis)[3]
-            direct = _raw_rows(m, r, _recheck(m, r, e_hat, coeffs, basis, values))
+            _recheck(m, r, e_hat, coeffs, basis, values)
+            direct = _raw_rows(m, r, _rows(coeffs, basis))
             assert np.all(np.abs(via_basis - direct) <= 1e-12 * np.maximum(1.0, np.abs(direct)))
 
     def test_e_y_row_has_zero_quadratic(self):
@@ -680,7 +681,8 @@ class TestBatchedRecheck:
         coeffs, basis, values = _closed_form(m, r, e_hat)
         assert coeffs[50].tolist() == [1.0, 0.0, 0.0]
         assert _gram_rows(coeffs, basis, r.Q)[50] == 0.0
-        x = _recheck(m, r, e_hat, coeffs, basis, values)
+        _recheck(m, r, e_hat, coeffs, basis, values)
+        x = _rows(coeffs, basis)
         assert x[50].tolist() == basis[0].tolist()
         assert not np.any(np.signbit(x) & (x == 0.0))
         row = frontier(m, r, m.mu1, m.mu1, 1)[0].weights
@@ -792,6 +794,54 @@ class TestFrontierRecord:
         finally:
             tracemalloc.stop()
         assert len(kept) == 101 and retained <= 8 * 1024
+
+    @pytest.mark.parametrize("n", [100, 300])
+    def test_memory_budget_wide_markets(self, n):
+        """A 101-point frontier keeps its columns, 101 x 3 coefficients and the
+        3 x n basis, at most 16 KB, and the request peaks at most 64 KB at
+        n = 300: no k x n weight array is formed.  Rows in both orders kept
+        about 82 KB (n = 100) and 240 KB, and the request peaked at 615 KB."""
+        m, r = random_model_delta(np.random.default_rng(56 + n), +1, n=n)
+        span = float(np.ptp(m.mu))
+        frontier(m, r, m.mu1 - span, m.mu1 + span, 101)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            kept = frontier(m, r, m.mu1 - span, m.mu1 + span, 101)
+            gc.collect()
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(kept) == 101 and retained <= 16 * 1024
+        if n == 300:
+            assert peak <= 64 * 1024
+
+    @pytest.mark.parametrize("n", [3, 10, 30, 100, 300])
+    def test_rows_formed_on_read_keep_their_bits(self, n):
+        """Every way of reading the weights gives the bits of the internal
+        rows ``_rows(coeffs, _basis)`` put in the caller's order."""
+        m, r = random_model_delta(np.random.default_rng(57 + n), +1, n=n)
+        span = float(np.ptp(m.mu))
+        fr = frontier(m, r, m.mu1 - span, m.mu1 + span, 101)
+        coeffs = _closed_form(m, r, fr.E - m.mu1)[0]
+        ref = m.to_original(_rows(coeffs, _basis(m, r)))
+        assert fr.weights.tobytes() == ref.tobytes()
+        assert b"".join(p.weights.tobytes() for p in fr) == ref.tobytes()
+        assert b"".join(fr[k].weights.tobytes() for k in range(101)) == ref.tobytes()
+        assert fr[-1].weights.tobytes() == ref[-1].tobytes()
+        assert fr[17:60].weights.tobytes() == ref[17:60].tobytes()
+        assert fr[17:60][-1].weights.tobytes() == ref[59].tobytes()
+
+    def test_formed_weights_are_read_only_and_not_cached(self, example2):
+        m, r = example2
+        fr = frontier(m, r, 1.0, 3.0, 11)
+        first, second = fr.weights, fr.weights
+        assert first is not second and not np.shares_memory(first, second)
+        assert np.array_equal(first, second)
+        for arr in (first, fr.basis, fr.coeffs, fr[3].weights, next(iter(fr)).weights):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0
 
 
 class TestOverflow:

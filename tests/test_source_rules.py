@@ -3,7 +3,9 @@
 Every tolerance of the package is a named module constant, so no function
 body outside the reference oracle holds a small float literal.  Every
 function the bench tracer wraps exists under its traced name.  Frontier
-rows are built only by the ``Frontier`` record, on demand.  The CLI reads
+rows are built only by the ``Frontier`` record, on demand, and a closed-form
+frontier request forms no k x n weight array: only the record's reader and
+the one-row solves call ``closedform._rows``.  The CLI reads
 every number it takes in through one function, ``cli._number``.  Only the
 reduction solves on the Cholesky factor: every closed form is built from its
 two solves.
@@ -179,3 +181,44 @@ def test_only_the_reduction_solves_on_the_factor():
     found = [f"{p.name}:{line}" for p in paths
              for line in sorted(_name_lines(ast.parse(p.read_text()), "solve_cholesky"))]
     assert not found, "build closed forms from reduce_model's two solves: " + ", ".join(found)
+
+
+# What in ``closedform.py`` may form weight rows with ``_rows``: the
+# ``Frontier`` record when its weights are read, and the solves that return
+# rows.  A frontier request keeps coefficients and checks them on the basis.
+ROW_FORMERS = {"Frontier", "solve_critical", "_ray", "markowitz_frontier"}
+
+
+def _users(tree: ast.Module, name: str) -> set[str]:
+    """Names of the top-level functions and classes where ``_name_lines``
+    finds ``name``, and "<module>" for any other top-level statement."""
+    return {getattr(top, "name", "<module>") for top in tree.body if _name_lines(top, name)}
+
+
+def test_rows_rule_flags_users_outside_the_readers():
+    tree = ast.parse("from .closedform import _rows\n"
+                     "def _rows(coeffs, basis):\n"
+                     "    return coeffs @ basis\n"
+                     "class Frontier:\n"
+                     "    @property\n"
+                     "    def weights(self):\n"
+                     "        return _rows(self.coeffs, self.basis)\n"
+                     "def solve_critical(c, b):\n"
+                     "    return _rows(c, b)[0]\n"
+                     "def _recheck(c, b):\n"
+                     "    x = _rows(c, b)\n"
+                     "def frontier(cs, bs):\n"
+                     "    return list(map(_rows, cs, bs))\n"
+                     "def reader(cf, c, b):\n"
+                     "    return cf._rows(c, b)\n"
+                     "def checker(rows):\n"
+                     "    return rows  # not _rows\n")
+    assert _users(tree, "_rows") == {"<module>", "Frontier", "solve_critical", "_recheck",
+                                     "frontier", "reader"}
+
+
+def test_frontier_requests_form_no_weight_rows():
+    users = _users(ast.parse((SRC / "closedform.py").read_text()), "_rows")
+    found = sorted(users - ROW_FORMERS)
+    assert not found, "check and keep coefficients on the basis, not rows: " + ", ".join(found)
+    assert "Frontier" in users
