@@ -1,8 +1,12 @@
 """Random model generation and small numeric oracles shared by the tests."""
 
+import math
+
 import numpy as np
 
-from covarsel import MarketModel, RiskParams, reduce_model, validate_model
+from covarsel import (MarketModel, McEstimate, RiskParams, TooFewBandSamples, reduce_model,
+                      validate_model)
+from covarsel.oracle import _BAND_CHUNK, BOOTSTRAP_REPS, MIN_BAND_KEPT, _quantile_rank
 
 
 def random_model(rng, n=None, a=None, b=None, conditioning_asset=None):
@@ -144,3 +148,64 @@ def sample_slice(rng, mu, target, size):
     """Random points of the slice polytope: Dirichlet mixtures of its vertices."""
     verts = slice_vertices(mu, target)
     return rng.dirichlet(np.ones(verts.shape[0]), size=size) @ verts
+
+
+def _bootstrap_se(sorted_sample, rank, rng):
+    """Bootstrap standard error of the rank-th order statistic of a sorted
+    sample, one Beta(rank, N - rank + 1) draw per replicate."""
+    n = sorted_sample.shape[0]
+    u = rng.beta(rank, n - rank + 1, size=BOOTSTRAP_REPS)
+    idx = np.clip(np.ceil(n * u).astype(np.int64) - 1, 0, n - 1)
+    return float(np.std(sorted_sample[idx], ddof=1))
+
+
+def full_chunk_band_returns(m, xi, mu_x, y_star, eps, base, n_samp):
+    """Band returns with each chunk's draws held whole: all of its z0, then
+    one (kept, n - 1) block of the other coordinates."""
+    low = m.chol
+    load = low.T @ xi
+    kept = []
+    for chunk, start in enumerate(range(0, n_samp, _BAND_CHUNK)):
+        chunk_rng = np.random.Generator(base.jumped(chunk + 1))
+        z0 = chunk_rng.standard_normal(min(_BAND_CHUNK, n_samp - start))
+        z0 = z0[np.abs(m.mu[0] + low[0, 0] * z0 - y_star) < eps]
+        rest = chunk_rng.standard_normal((z0.shape[0], m.n - 1))
+        kept.append(mu_x + z0 * load[0] + rest @ load[1:])
+    return np.concatenate(kept)
+
+
+def full_array_mc_covar(m, x, cfg):
+    """Reference Monte-Carlo estimator that holds every draw: it forms all
+    ``samples`` exact-conditional draws, sorts them and bootstraps the sorted
+    array, then sorts the band's returns.  ``mc_covar`` must match it bit for
+    bit."""
+    xi = m.to_internal(x)
+    beta_level = m.risk.beta_level
+    if math.ceil(beta_level * cfg.samples) < MIN_BAND_KEPT:
+        raise TooFewBandSamples("too few draws below the quantile")
+    mu_x = float(xi @ m.mu)
+    sigma_x = math.sqrt(max(0.0, float(xi @ m.sigma @ xi)))
+    rho = min(1.0, max(-1.0, float(xi @ m.sigma[:, 0]) / (sigma_x * m.sigma1)))
+    y_star = m.mu1 - m.risk.a * m.sigma1
+    cond_mean = mu_x + rho * sigma_x / m.sigma1 * (y_star - m.mu1)
+    cond_var = max(0.0, sigma_x * sigma_x * (1.0 - rho * rho))
+
+    base = np.random.Philox(cfg.seed)
+    rng = np.random.Generator(base)
+    rank = _quantile_rank(beta_level, cfg.samples)
+    if cond_var <= 1e-24 * max(1.0, sigma_x * sigma_x):
+        estimate, std_error = -cond_mean, 0.0
+    else:
+        draws = cond_mean + math.sqrt(cond_var) * rng.standard_normal(cfg.samples)
+        draws.sort()
+        estimate = -float(draws[rank - 1])
+        std_error = _bootstrap_se(draws, rank, rng)
+
+    eps = cfg.band_epsilon if cfg.band_epsilon is not None else 0.05 * m.sigma1
+    kept = full_chunk_band_returns(m, xi, mu_x, y_star, eps, base, cfg.samples)
+    if kept.shape[0] < MIN_BAND_KEPT:
+        raise TooFewBandSamples("too few band draws")
+    kept.sort()
+    band_estimate = -float(kept[_quantile_rank(beta_level, kept.shape[0]) - 1])
+    return McEstimate(estimate=estimate, std_error=std_error,
+                      band_estimate=band_estimate, band_kept=int(kept.shape[0]))

@@ -288,11 +288,12 @@ def test_console_entry_point(scenario_dir):
                   "--mode", "sigma"]),
     ("example2", ["validate", "--weights", "nan,0.5,0.5"]),
     ("example2", ["validate", "--weights", "0.5,0.2,0.1"]),
+    ("example2", ["validate", "--band-eps", "inf"]),
 ])
 def test_bad_numbers_exit_two(scenario_dir, name, argv):
-    """Non-finite targets and weights, a negative seed and a descending
-    return range are input errors: exit 2 with one error line, never a
-    traceback."""
+    """Non-finite targets, weights and band half-widths, a negative seed and a
+    descending return range are input errors: exit 2 with one error line,
+    never a traceback."""
     env = dict(os.environ)
     src = str(scenario_dir.parents[0] / "src")
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")

@@ -7,9 +7,10 @@ from covarsel import (DimensionTooLarge, DomainError, Hyperplane, HyperplaneSlic
                       MarketModel, McConfig, RiskParams, Simplex, SimplexSlice,
                       TooFewBandSamples, covar_portfolio, grid_minimize, mc_covar,
                       reduce_model, validate_model)
+from covarsel import oracle
 from covarsel.model import standard_normal_cdf
-from covarsel.oracle import _BAND_CHUNK, _band_returns
-from helpers import random_model
+from covarsel.oracle import _BAND_CHUNK, _DRAW_BLOCK, _ROW_ALIGN, _band_returns
+from helpers import full_chunk_band_returns, full_array_mc_covar, random_model
 
 
 def full_block_band(m, xi, y_star, eps, seed, samples):
@@ -25,6 +26,15 @@ def full_block_band(m, xi, y_star, eps, seed, samples):
         returns = m.mu + z @ low.T
         kept.append(returns[np.abs(returns[:, 0] - y_star) < eps] @ xi)
     return np.concatenate(kept)
+
+
+def outcome(estimator, m, x, cfg):
+    """The four fields of an estimate, or the type of the error it raised."""
+    try:
+        est = estimator(m, x, cfg)
+    except TooFewBandSamples:
+        return TooFewBandSamples
+    return (est.estimate, est.std_error, est.band_estimate, est.band_kept)
 
 
 def band_setup(seed, n):
@@ -44,6 +54,18 @@ class TestMcConfig:
     def test_band_epsilon_positive(self):
         with pytest.raises(DomainError):
             McConfig(band_epsilon=0.0)
+
+    @pytest.mark.parametrize("eps", [math.inf, -math.inf, math.nan, "0.1", True])
+    def test_band_epsilon_finite(self, eps):
+        with pytest.raises(DomainError):
+            McConfig(band_epsilon=eps)
+
+    @pytest.mark.parametrize("field,value", [
+        ("samples", 1e6), ("samples", True), ("samples", "100000"), ("samples", np.float64(1e5)),
+        ("seed", 1.5), ("seed", 2.0), ("seed", False), ("seed", None)])
+    def test_integer_samples_and_seed(self, field, value):
+        with pytest.raises(DomainError, match=field):
+            McConfig(**{field: value})
 
 
 class TestMcCovar:
@@ -163,20 +185,78 @@ class TestBandDraw:
         assert np.array_equal(full[:head.shape[0]], head)
 
     def test_exact_stage_reads_the_base_stream(self):
-        m, xi, y_star, _ = band_setup(5, 5)
-        seed, samples = 17, 100_000
-        est = mc_covar(m, m.to_original(xi), McConfig(samples=samples, seed=seed))
-        sigma_x = math.sqrt(float(xi @ m.sigma @ xi))
-        rho = float(xi @ m.sigma[:, 0]) / (sigma_x * m.sigma1)
-        mean = float(xi @ m.mu) + rho * sigma_x / m.sigma1 * (y_star - m.mu1)
-        sd = math.sqrt(sigma_x * sigma_x * (1.0 - rho * rho))
-        rng = np.random.Generator(np.random.Philox(seed))
-        draws = np.sort(mean + sd * rng.standard_normal(samples))
-        rank = math.ceil(m.risk.beta_level * samples)
-        u = rng.beta(rank, samples - rank + 1, size=256)
-        boot = draws[np.ceil(samples * u).astype(np.int64) - 1]
-        assert est.estimate == -draws[rank - 1]
-        assert est.std_error == np.std(boot, ddof=1)
+        """The streamed estimator equals the one that holds, sorts and
+        bootstraps every draw, bit for bit, across market sizes, sample
+        counts that end in a partial block, and seeds."""
+        sizes = [10_000, 123_457, 1_000_000, 3 * _DRAW_BLOCK + 1]
+        for n in (2, 3, 10, 50):
+            for samples in sizes:
+                for seed in (n, 1000 + n):
+                    m, xi, _, _ = band_setup(seed, n)
+                    x, cfg = m.to_original(xi), McConfig(samples=samples, seed=seed)
+                    assert outcome(mc_covar, m, x, cfg) == \
+                        outcome(full_array_mc_covar, m, x, cfg), (n, samples, seed)
+
+    def test_window_miss_repeats_the_pass(self, monkeypatch):
+        """With no window margin every first pass misses and the kept-return
+        buffer starts at its mean: the repeat passes and the buffer's growth
+        give the same bits, and the band stage sees the same stream."""
+        cases = [(band_setup(seed, n), samples) for seed, n, samples in
+                 [(1, 3, 200_000), (2, 10, 123_457), (3, 50, 300_000), (4, 2, 50_000)]]
+        before = [outcome(mc_covar, m, m.to_original(xi), McConfig(samples=s, seed=7))
+                  for (m, xi, _, _), s in cases]
+        passes = []
+        window_pass = oracle._window_pass
+        monkeypatch.setattr(oracle, "_WINDOW_SDS", 0.0)
+        monkeypatch.setattr(oracle, "_window_pass",
+                            lambda *args: passes.append(1) or window_pass(*args))
+        grew = 0
+        for ((m, xi, y_star, eps), samples), ref in zip(cases, before):
+            cfg = McConfig(samples=samples, seed=7)
+            passes.clear()
+            assert outcome(mc_covar, m, m.to_original(xi), cfg) == ref
+            assert ref == outcome(full_array_mc_covar, m, m.to_original(xi), cfg)
+            assert len(passes) > 1
+            p = (standard_normal_cdf((y_star + eps - m.mu1) / m.sigma1)
+                 - standard_normal_cdf((y_star - eps - m.mu1) / m.sigma1))
+            grew += ref[3] > math.ceil(samples * p)
+        assert grew > 0
+
+    @pytest.mark.parametrize("samples,wide", [(200_000, False), (2_000_000, False),
+                                              (200_000, True)])
+    def test_memory_budget(self, samples, wide):
+        """One estimate on an n = 50 market holds at most 3 MB beyond the
+        band's kept returns, at 8 bytes each, whatever the sample count."""
+        import tracemalloc
+        m, xi, _, _ = band_setup(50, 50)
+        cfg = McConfig(samples=samples, seed=3, band_epsilon=10.0 * m.sigma1 if wide else None)
+        mc_covar(m, m.to_original(xi), McConfig(samples=10_000, seed=3, band_epsilon=m.sigma1))
+        tracemalloc.start()
+        try:
+            est = mc_covar(m, m.to_original(xi), cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        if wide:
+            assert est.band_kept == samples
+        assert peak <= 3_000_000 + (8 * est.band_kept if wide else 0), peak
+
+    def test_row_blocks_keep_the_bits(self):
+        """Kept rows draw their other coordinates in row blocks; a lone last
+        row joins the block before it.  The band keeps the bits of one
+        product per chunk at kept counts around the block boundaries."""
+        m, xi, y_star, _ = band_setup(8, 48)
+        rows = _DRAW_BLOCK // 47 // _ROW_ALIGN * _ROW_ALIGN
+        seed, samples = 4, _BAND_CHUNK
+        z0 = np.random.Generator(np.random.Philox(seed).jumped(1)).standard_normal(samples)
+        dev = np.sort(np.abs(m.mu[0] + m.chol[0, 0] * z0 - y_star))
+        for kept in (1, 2, rows - 1, rows, rows + 1, 3 * rows, 3 * rows + 1, 3 * rows + 2):
+            eps = 0.5 * (dev[kept - 1] + dev[kept])
+            args = (m, xi, float(xi @ m.mu), y_star, eps)
+            new = _band_returns(*args, np.random.Philox(seed), samples)
+            ref = full_chunk_band_returns(*args, np.random.Philox(seed), samples)
+            assert new.shape[0] == kept
+            assert np.array_equal(new, ref), kept
 
 
 class TestGridMinimize:
