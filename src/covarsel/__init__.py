@@ -15,19 +15,16 @@ from .closedform import (CriticalSolution, EfficiencyClass, Frontier, FrontierPo
                          markowitz_frontier,
                          minimum_variance_efficient, point_is_efficient,
                          solvability_status, solve_critical)
-from .constrained import (ConstrainedProblem, ConstrainedSolution, Simplex,
-                          SimplexSlice, constrained_frontier, kkt_certificate,
-                          minimize_constrained, project_simplex)
+from .constrained import (ConstrainedProblem, ConstrainedSolution, constrained_frontier,
+                          kkt_certificate, minimize_constrained, project_simplex)
 from .errors import (BadQuantileLevel, CovarselError, DimensionMismatch,
                      DimensionTooLarge, DomainError, InfeasibleSlice,
                      MuParallelToOnes, NoConvergence, NotPositiveDefinite,
                      NumericalBreakdown, PreconditionViolated, ScenarioError,
                      TooFewBandSamples)
-from .model import (MarketModel, RiskParams, ValidatedModel, normal_quantile,
-                    standard_normal_cdf, validate_model)
-from .oracle import (Hyperplane, HyperplaneSlice, McConfig, McEstimate,
-                     grid_minimize, mc_covar)
+from .model import MarketModel, RiskParams, ValidatedModel, normal_quantile, validate_model
+from .oracle import McConfig, McEstimate, grid_minimize, mc_covar
 from .reduction import ReducedModel, reduce_model
-from .riskmeasures import PortfolioReport, covar_portfolio, covar_raw
+from .riskmeasures import PortfolioReport, covar_portfolio
 
 __version__ = "0.1.0"

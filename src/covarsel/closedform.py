@@ -139,7 +139,11 @@ class CriticalSolution:
 
 
 def _delta_regime(r: ReducedModel) -> int:
-    """+1 unique, 0 infimum, -1 unbounded, judged at relative tolerance."""
+    """+1 unique, 0 infimum, -1 unbounded, judged at relative tolerance.
+    ``detG <= 0`` makes ``Delta >= b^2 alpha_C > 0``: unique, also where
+    ``b^2 alpha_C`` underflows."""
+    if r.detG <= 0.0:
+        return 1
     scale = max(r.b * r.b * r.alpha_C, r.a * r.a * abs(r.detG), DELTA_SCALE_FLOOR)
     if r.Delta > DELTA_RTOL * scale:
         return 1
@@ -186,10 +190,13 @@ def minimum_variance_efficient(E, gmv: float):
 
 def _basis(m: ValidatedModel, r: ReducedModel) -> np.ndarray:
     """Internal rows ``e_Y``, ``ubar = (-1'u, u)``, ``wbar = (-1'w, w)``, with
-    ``u = Qhat^-1 mu_hat`` and ``w = beta_C u - alpha_C Qhat^-1 q_hat``."""
+    ``u = Qhat^-1 mu_hat`` and ``w = beta_C u - alpha_C Qhat^-1 q_hat``.
+    ``w'Qhat w = alpha_C detG``, so ``wbar`` is zero where detG is."""
     basis = np.zeros((3, m.n))
     basis[0, 0] = 1.0
-    basis[1:, 1:] = (r.qinv_mu, r.beta_C * r.qinv_mu - r.alpha_C * r.qinv_qh)
+    basis[1, 1:] = r.qinv_mu
+    if r.detG:
+        basis[2, 1:] = r.beta_C * r.qinv_mu - r.alpha_C * r.qinv_qh
     basis[1:, 0] = -basis[1:, 1:].sum(axis=1)
     return basis
 
@@ -213,7 +220,7 @@ def _closed_form(m: ValidatedModel, r: ReducedModel, e_hat: np.ndarray):
     a = m.risk.a
     root = math.sqrt(r.Delta)
     slope = e_hat / r.alpha_C
-    coef = np.abs(e_hat) * a / (r.alpha_C * root)
+    coef = np.abs(e_hat) * a / (r.alpha_C * root) if r.detG else np.zeros_like(slope)
     coeffs = np.array((np.ones_like(slope), slope, coef)).T
     values = -m.mu1 + a * m.sigma1 \
         + e_hat * (a * r.beta_C / r.alpha_C - 1.0) + np.abs(e_hat) / r.alpha_C * root

@@ -44,18 +44,6 @@ DOMINANCE_SLACK = 1e-10  # how much lower a dominating frontier value must be
 
 
 @dataclass(frozen=True)
-class Simplex:
-    """Feasible set {x >= 0, sum(x) = 1}."""
-
-
-@dataclass(frozen=True)
-class SimplexSlice:
-    """Feasible set {x >= 0, sum(x) = 1, mu'x = E}."""
-
-    E: float
-
-
-@dataclass(frozen=True)
 class ConstrainedProblem:
     model: ValidatedModel
     reduced: ReducedModel
@@ -82,7 +70,6 @@ class ConstrainedSolution:
     iterations: int
     kkt_residual: float
     kkt_min_dual: float
-    active_set: tuple[int, ...]
 
 
 def project_simplex(v: np.ndarray) -> np.ndarray:
@@ -316,11 +303,8 @@ def minimize_constrained(problem: ConstrainedProblem) -> ConstrainedSolution:
     if not np.all(defect <= CONSTRAINT_TOL * np.maximum(1.0, np.abs(rhs))):
         raise NoConvergence(
             f"constrained solve left the feasible set (defects {defect.tolist()!r})")
-    x_out = m.to_original(x)
-    return ConstrainedSolution(x=x_out, value=value, multiple=multiple,
-                               iterations=rounds, kkt_residual=resid,
-                               kkt_min_dual=min_dual,
-                               active_set=tuple(int(i) for i in np.flatnonzero(x_out <= ACTIVE_TOL)))
+    return ConstrainedSolution(x=m.to_original(x), value=value, multiple=multiple,
+                               iterations=rounds, kkt_residual=resid, kkt_min_dual=min_dual)
 
 
 def kkt_certificate(problem: ConstrainedProblem, x):

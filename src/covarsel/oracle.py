@@ -295,90 +295,55 @@ def mc_covar(m: ValidatedModel, x, cfg: McConfig) -> McEstimate:
                       band_estimate=band_estimate, band_kept=int(kept.shape[0]))
 
 
-@dataclass(frozen=True)
-class Hyperplane:
-    """Budget hyperplane with the trailing coordinates boxed in [-bound, bound]
-    (short selling allowed)."""
-
-    bound: float = 2.0
-
-
-@dataclass(frozen=True)
-class HyperplaneSlice:
-    """Budget-and-return affine set, nullspace parameters boxed in
-    [-bound, bound]."""
-
-    E: float
-    bound: float = 2.0
-
-
 def _axis(resolution: float, lo: float, hi: float) -> np.ndarray:
     steps = max(1, int(round((hi - lo) / resolution)))
     return np.linspace(lo, hi, steps + 1)
 
 
-def _batched_argmin(make_points, values_fn):
-    best_val = math.inf
-    best_x = None
-    for pts in make_points:
-        vals = values_fn(pts)
-        i = int(np.argmin(vals))
-        if vals[i] < best_val:
-            best_val = float(vals[i])
-            best_x = pts[i]
-    return best_x, best_val
+def _mesh(resolution: float, lo: float, hi: float, dims: int) -> np.ndarray:
+    """Every point of the uniform grid on [lo, hi]^dims, one per row."""
+    mesh = np.meshgrid(*[_axis(resolution, lo, hi)] * dims, indexing="ij")
+    return np.stack([g.ravel() for g in mesh], axis=1)
 
 
-def grid_minimize(m: ValidatedModel, r: ReducedModel, feasible, resolution: float):
-    """Deterministic brute-force minimum over a uniform grid of the feasible set.
+def grid_minimize(m: ValidatedModel, r: ReducedModel, resolution: float, *,
+                  E: float | None = None, bound: float | None = None):
+    """Deterministic brute-force minimum over a uniform grid of a feasible set.
 
-    Accepts the constrained-module descriptors (Simplex, SimplexSlice) and the
-    short-selling boxes above.  Guarded to n <= 4; grids include the exact
-    boundary points of the parametrization.  Returns (weights, value) in the
-    caller's asset order.
+    The set is the budget hyperplane or, given ``E``, its slice ``mu'x = E``,
+    as for ``constrained.ConstrainedProblem``.  ``bound=None`` cuts it to the
+    orthant; a number boxes the trailing coordinates (on a slice, the
+    nullspace parameters) in [-bound, bound].  Guarded to n <= 4; grids
+    include the exact boundary points of the parametrization.  Returns
+    (weights, value) in the caller's asset order.
     """
-    from .constrained import Simplex, SimplexSlice
-
     if m.n > 4:
         raise DimensionTooLarge(f"grid oracle restricted to n <= 4, got {m.n}")
     if not resolution > 0.0:
         raise DomainError("resolution must be positive")
-    n = m.n
-
-    def chunks_from(points):
-        for start in range(0, points.shape[0], 1_000_000):
-            yield points[start:start + 1_000_000]
-
-    if isinstance(feasible, Simplex):
-        axes = [_axis(resolution, 0.0, 1.0)] * (n - 1)
-        mesh = np.meshgrid(*axes, indexing="ij")
-        tail = np.stack([g.ravel() for g in mesh], axis=1)
-        lead = 1.0 - tail.sum(axis=1)
-        keep = lead >= -1e-12
-        points = np.column_stack([lead[keep], tail[keep]])
-    elif isinstance(feasible, SimplexSlice):
-        points = _slice_grid(m, float(feasible.E), resolution, nonneg=True)
-    elif isinstance(feasible, Hyperplane):
-        axes = [_axis(resolution, -feasible.bound, feasible.bound)] * (n - 1)
-        mesh = np.meshgrid(*axes, indexing="ij")
-        tail = np.stack([g.ravel() for g in mesh], axis=1)
-        points = np.column_stack([1.0 - tail.sum(axis=1), tail])
-    elif isinstance(feasible, HyperplaneSlice):
-        points = _slice_grid(m, float(feasible.E), resolution, nonneg=False,
-                             bound=feasible.bound)
+    if E is not None:
+        points = _slice_grid(m, float(E), resolution, bound)
     else:
-        raise DomainError(f"unknown feasible set {feasible!r}")
-
+        tail = _mesh(resolution, *((0.0, 1.0) if bound is None else (-bound, bound)), m.n - 1)
+        points = np.column_stack([1.0 - tail.sum(axis=1), tail])
+        if bound is None:
+            points = points[points[:, 0] >= -1e-12]
     if points.shape[0] == 0:
         raise DomainError("feasible grid is empty")
-    best_x, best_val = _batched_argmin(chunks_from(points),
-                                       lambda pts: _raw_rows(m, r, pts))
+    best_x, best_val = None, math.inf
+    for start in range(0, points.shape[0], 1_000_000):
+        pts = points[start:start + 1_000_000]
+        vals = _raw_rows(m, r, pts)
+        i = int(np.argmin(vals))
+        if vals[i] < best_val:
+            best_x, best_val = pts[i], float(vals[i])
     return m.to_original(best_x), best_val
 
 
 def _slice_grid(m: ValidatedModel, target: float, resolution: float,
-                nonneg: bool, bound: float = 2.0) -> np.ndarray:
-    """Uniform grid on {sum = 1, mu'x = E}, optionally cut to the orthant.
+                bound: float | None) -> np.ndarray:
+    """Uniform grid on {sum = 1, mu'x = E}: cut to the orthant when ``bound``
+    is None, else with its nullspace parameters in [-bound, bound].
 
     Nullspace directions are scaled to unit max-abs component so the grid step
     bounds the per-coordinate step; parameter intervals include their exact
@@ -395,7 +360,7 @@ def _slice_grid(m: ValidatedModel, target: float, resolution: float,
         return x0[None, :]
     dirs = [d / np.abs(d).max() for d in null]
 
-    if nonneg and len(dirs) == 1:
+    if bound is None and len(dirs) == 1:
         d = dirs[0]
         lo, hi = -math.inf, math.inf
         for i in range(n):
@@ -408,11 +373,8 @@ def _slice_grid(m: ValidatedModel, target: float, resolution: float,
         ts = _axis(resolution, lo, hi)
         return x0[None, :] + ts[:, None] * d[None, :]
 
-    span = math.sqrt(n) + 1.0 if nonneg else bound
-    axes = [_axis(resolution, -span, span)] * len(dirs)
-    mesh = np.meshgrid(*axes, indexing="ij")
-    coords = np.stack([g.ravel() for g in mesh], axis=1)
-    points = x0[None, :] + coords @ np.stack(dirs)
-    if nonneg:
+    span = math.sqrt(n) + 1.0 if bound is None else bound
+    points = x0[None, :] + _mesh(resolution, -span, span, len(dirs)) @ np.stack(dirs)
+    if bound is None:
         points = points[(points >= -1e-12).all(axis=1)]
     return points

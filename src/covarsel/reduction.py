@@ -23,9 +23,11 @@ Qhat's own, so Qhat is never factored again: both solves are one O(n^2)
 substitution on that block, with the two right-hand sides stacked.
 
 When the ones vector, mu and q are linearly dependent, ``q_hat`` is parallel
-to ``mu_hat`` and ``detG = 0``.  ``ReducedModel.independent`` reports whether
-``detG > DEPENDENCE_RTOL alpha_C gamma_C``; it is a label only, since the
-closed form covers both cases.
+to ``mu_hat`` and ``detG = 0``.  With two assets they always are, as the
+reduced space has one dimension, so ``detG`` is set to 0 there rather than
+to the rounding noise its difference leaves.  ``ReducedModel.independent``
+reports whether ``detG > DEPENDENCE_RTOL alpha_C gamma_C``; it is a label
+only, since the closed form covers both cases.
 """
 
 from __future__ import annotations
@@ -109,7 +111,7 @@ def reduce_model(m: ValidatedModel) -> ReducedModel:
     alpha_c = float(mu_hat @ u)
     beta_c = float(mu_hat @ v)
     gamma_c = float(q_hat @ v)
-    det_g = alpha_c * gamma_c - beta_c * beta_c
+    det_g = alpha_c * gamma_c - beta_c * beta_c if m.n > 2 else 0.0
     a, b = m.risk.a, m.risk.b
     delta = b * b * alpha_c - a * a * det_g
     if not (alpha_c > 0.0 and all(map(math.isfinite, (alpha_c, beta_c, gamma_c,

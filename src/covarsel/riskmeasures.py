@@ -60,15 +60,6 @@ def _raw_value(m: ValidatedModel, r: ReducedModel, x_int: np.ndarray) -> float:
     return float(_raw_rows(m, r, x_int[None, :])[0])
 
 
-def covar_raw(m: ValidatedModel, r: ReducedModel, x) -> float:
-    """The objective as a function on all of R^n, no budget constraint.
-
-    Positively homogeneous of degree one and convex; exposed so those
-    properties can be exercised away from the feasible hyperplane.
-    """
-    return _raw_value(m, r, m.to_internal(x))
-
-
 def _first(ok: np.ndarray) -> int | None:
     """Index of the first False of the pass mask ``ok``, or None (one reduction)."""
     return None if ok.all() else int(np.argmin(ok))
@@ -139,4 +130,4 @@ def covar_portfolio(m: ValidatedModel, r: ReducedModel, x) -> PortfolioReport:
                            rho=rho, covar=value)
 
 
-__all__ = ["PortfolioReport", "covar_portfolio", "covar_raw"]
+__all__ = ["PortfolioReport", "covar_portfolio"]

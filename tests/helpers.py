@@ -85,6 +85,12 @@ def covar_value_raw(m, r, x_internal):
                  + m.risk.b * np.sqrt(quad))
 
 
+def covar_at(m, r, x):
+    """``covar_value_raw`` at weights x in the caller's asset order; the
+    objective on all of R^n, no budget constraint."""
+    return covar_value_raw(m, r, m.to_internal(x))
+
+
 def slice_segment(m, target):
     """Parametrize {sum = 1, mu'x = E} for n = 3 as x0 + t*d with the feasible
     t-interval for x >= 0; returns (x0, d, lo, hi) in internal coordinates."""

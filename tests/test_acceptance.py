@@ -10,14 +10,13 @@ import time
 import numpy as np
 import pytest
 
-from covarsel import (ConstrainedProblem, EfficiencyClass, HyperplaneSlice,
-                      MarketModel, McConfig, RiskParams, SolveStatus,
-                      classify_efficiency, covar_portfolio, covar_raw,
+from covarsel import (ConstrainedProblem, EfficiencyClass, MarketModel, McConfig,
+                      RiskParams, SolveStatus, classify_efficiency, covar_portfolio,
                       grid_minimize, markowitz_frontier, mc_covar,
                       minimize_constrained, reduce_model, solve_critical,
                       validate_model)
 from conftest import example3_at
-from helpers import random_model, random_model_delta
+from helpers import covar_at, random_model, random_model_delta
 
 EX3_ALPHA, EX3_BETA, EX3_DETG = 13 / 23, 9 / 46, 1 / 92
 
@@ -32,7 +31,7 @@ def test_criterion_1_example1_unbounded_regime(example1):
     assert r.Delta < 0
     sol = solve_critical(m, r, 2.0)
     assert sol.status is SolveStatus.UNBOUNDED_BELOW
-    values = [covar_raw(m, r, sol.ray_base + tau * sol.ray_direction)
+    values = [covar_at(m, r, sol.ray_base + tau * sol.ray_direction)
               for tau in (0.0, 1e3, 3e5)]
     assert values[0] > values[1] > values[2]
     assert values[2] < -1e3
@@ -144,8 +143,7 @@ def test_criterion_5_oracle_equivalence():
         assert abs(coord) < bound
         e_hat = target - m.mu1
         resolution = min(2e-4, max(1e-6, 5e-5 * abs(e_hat)))
-        _, grid_val = grid_minimize(m, r, HyperplaneSlice(E=target, bound=bound),
-                                    resolution)
+        _, grid_val = grid_minimize(m, r, resolution, E=target, bound=bound)
         assert grid_val >= sol.value - 1e-9
         gap = abs(grid_val - sol.value)
         worst_gap = max(worst_gap, gap)
@@ -180,11 +178,11 @@ def test_criterion_6_invariant_suites():
         x = rng.normal(size=m.n)
         y = rng.normal(size=m.n)
         lam_h = rng.uniform(0.01, 10.0)
-        assert covar_raw(m, r, lam_h * x) == pytest.approx(
-            lam_h * covar_raw(m, r, x), rel=1e-10, abs=1e-10)
+        assert covar_at(m, r, lam_h * x) == pytest.approx(
+            lam_h * covar_at(m, r, x), rel=1e-10, abs=1e-10)
         lam_c = rng.uniform(0.0, 1.0)
-        assert covar_raw(m, r, lam_c * x + (1 - lam_c) * y) <= \
-            lam_c * covar_raw(m, r, x) + (1 - lam_c) * covar_raw(m, r, y) + 1e-10
+        assert covar_at(m, r, lam_c * x + (1 - lam_c) * y) <= \
+            lam_c * covar_at(m, r, x) + (1 - lam_c) * covar_at(m, r, y) + 1e-10
 
     for _ in range(n_inst):  # route agreement (raises internally on drift)
         m, r = random_model(rng)

@@ -658,6 +658,60 @@ def test_constrained_huge_return_keeps_the_dual_test(tmp_path):
     assert record["kkt_min_dual"] is not None and 0.0 <= record["kkt_min_dual"] < math.inf
 
 
+def _json_call(tmp_path, raw, command, *flags):
+    """Exit code and JSON record of one call on the scenario ``raw``; a
+    ``solve`` prints its record as a one-row list."""
+    path = tmp_path / "two.json"
+    path.write_text(json.dumps(raw))
+    code, out = run_cli([command, "--scenario", str(path), *flags, "--format", "json"])
+    record = json.loads(out)
+    return code, record[0] if command == "solve" else record
+
+
+@pytest.mark.parametrize("sigma, b, target, weights", [
+    ([[1, 0.3], [0.3, 2]], 1e-9, 0.5, [0.5, 0.5]),
+    ([[1, 0], [0, 1]], 1e-300, 0.0, [1.0, 0.0]),
+], ids=["rounding-detG", "underflowing-b"])
+def test_two_asset_small_b_is_unique(tmp_path, sigma, b, target, weights):
+    """Two assets leave one feasible point per target, so every b > 0 has a
+    minimizer.  detG, which is 0 there, once came out as rounding noise
+    (2.8e-17 on the first market), which sent b = 1e-9 to UnboundedBelow
+    with a zero ray; on the second, b^2 underflowed and the ray divided by
+    detG = 0."""
+    raw = {"mu": [0, 1], "sigma": sigma, "conditioning_asset": 1, "risk": {"a": 1, "b": b}}
+    code, record = _json_call(tmp_path, raw, "solve", f"--E={target!r}")
+    assert code == 0
+    assert record["status"] == "MarkowitzFallback"
+    assert [record["w1"], record["w2"]] == weights
+    code, record = _json_call(tmp_path, raw, "describe")
+    assert code == 0
+    assert record["detG"] == 0.0 and record["status"] == "MarkowitzFallback"
+
+
+@settings(max_examples=100, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(mu=st.tuples(st.floats(-10.0, 10.0), st.floats(0.1, 10.0)),
+       root=st.lists(st.floats(-3.0, 3.0), min_size=4, max_size=4),
+       ridge=st.floats(0.01, 2.0), cond=st.integers(1, 2), a=st.floats(0.05, 3.0),
+       log_b=st.floats(-300.0, 3.0), t=st.floats(-0.5, 1.5))
+def test_two_asset_solves_meet_both_constraints(tmp_path, mu, root, ridge, cond, a,
+                                                log_b, t):
+    """Any two-asset market and b from 1e-300 to 1e3: the solve exits 0 with
+    no Delta <= 0 status, at the one point with weights summing to 1 and
+    returning E."""
+    mu = np.array([mu[0], mu[0] + mu[1]])
+    mat = np.reshape(root, (2, 2))
+    sigma = mat @ mat.T + ridge * np.eye(2)
+    target = float(mu[0] + t * (mu[1] - mu[0]))
+    raw = {"mu": mu.tolist(), "sigma": sigma.tolist(), "conditioning_asset": cond,
+           "risk": {"a": a, "b": 10.0 ** log_b}}
+    code, record = _json_call(tmp_path, raw, "solve", f"--E={target!r}")
+    assert code == 0
+    assert record["status"] not in ("UnboundedBelow", "InfimumNotAttained")
+    want = np.linalg.solve(np.vstack([np.ones(2), mu]), [1.0, target])
+    assert np.allclose([record["w1"], record["w2"]], want, rtol=1e-9, atol=1e-9)
+
+
 def test_unexpected_exception_exit_three(scenario_dir, monkeypatch):
     """An exception covarsel does not raise on purpose still ends in exit 3
     with one error line, not a traceback."""

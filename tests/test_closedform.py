@@ -11,14 +11,14 @@ from hypothesis import strategies as st
 
 from covarsel import (EfficiencyClass, LemmaParams, NumericalBreakdown,
                       PreconditionViolated, ReducedModel, RiskParams, SolveStatus,
-                      covar_portfolio, covar_raw, classify_efficiency, frontier,
+                      covar_portfolio, classify_efficiency, frontier,
                       lemma_minimize, markowitz_frontier,
                       point_is_efficient, reduce_model,
                       solve_critical, validate_model, MarketModel)
 from covarsel.closedform import (CONSTRAINT_TOL, Frontier, FrontierPoint, _basis,
                                  _closed_form, _recheck, _rows)
 from covarsel.riskmeasures import _covar_rows, _gram_rows, _raw_rows
-from helpers import (covar_value_raw, golden_section, near_dependent_model, random_model,
+from helpers import (covar_at, covar_value_raw, golden_section, near_dependent_model, random_model,
                      random_model_delta)
 
 
@@ -103,7 +103,7 @@ class TestSolveCritical:
             x = sol.ray_base + tau * sol.ray_direction
             assert x.sum() == pytest.approx(1.0, abs=1e-9)
             assert x @ mu_orig == pytest.approx(2.0, abs=1e-6)
-            vals.append(covar_raw(m, r, x))
+            vals.append(covar_at(m, r, x))
         assert vals[0] > vals[1] > vals[2]
         assert vals[2] < -1e3
 
@@ -202,7 +202,7 @@ class TestSolveCritical:
             m, r = random_model_delta(rng, -1)
             sol = solve_critical(m, r, float(np.mean(m.mu)))
             assert sol.status is SolveStatus.UNBOUNDED_BELOW
-            vals = [covar_raw(m, r, sol.ray_base + tau * sol.ray_direction)
+            vals = [covar_at(m, r, sol.ray_base + tau * sol.ray_direction)
                     for tau in (0.0, 10.0, 1e4)]
             assert vals[0] > vals[1] > vals[2]
 
@@ -223,7 +223,7 @@ class TestSolveCritical:
         expected = -m.mu1 + m.risk.a * m.sigma1 + 0.7 * (m.risk.a * r.beta_C / r.alpha_C - 1.0)
         assert sol.value == pytest.approx(expected, rel=1e-9)
         # witness sequence approaches the infimum from above
-        vals = [covar_raw(m, r, sol.ray_base + tau * sol.ray_direction)
+        vals = [covar_at(m, r, sol.ray_base + tau * sol.ray_direction)
                 for tau in (1.0, 1e2, 1e4, 1e6)]
         assert all(v > sol.value for v in vals)
         assert abs(vals[-1] - sol.value) < abs(vals[0] - sol.value)
@@ -415,13 +415,13 @@ class TestFrontier:
                     assert p.efficient == (p.E >= m.mu1 - 1e-12)
 
     def test_value_not_above_grid_oracle(self):
-        from covarsel import HyperplaneSlice, grid_minimize
+        from covarsel import grid_minimize
         rng = np.random.default_rng(44)
         for _ in range(10):
             m, r = random_model_delta(rng, +1, n=3)
             target = float(rng.uniform(m.mu.min(), m.mu.max()))
             sol = solve_critical(m, r, target)
-            _, grid_val = grid_minimize(m, r, HyperplaneSlice(E=target, bound=4.0), 1e-3)
+            _, grid_val = grid_minimize(m, r, 1e-3, E=target, bound=4.0)
             assert sol.value <= grid_val + 1e-6
 
     def test_higher_dimension_against_smooth_minimizer(self):

@@ -7,12 +7,12 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from covarsel import (ConstrainedProblem, InfeasibleSlice, MarketModel, NoConvergence,
-                      NumericalBreakdown, RiskParams, constrained_frontier, covar_raw,
+                      NumericalBreakdown, RiskParams, constrained_frontier,
                       kkt_certificate, minimize_constrained, project_simplex,
                       reduce_model, solve_critical, validate_model)
 from covarsel.constrained import _face_step
 from conftest import _pair
-from helpers import (covar_value_raw, random_model, random_model_delta, sample_slice,
+from helpers import (covar_at, covar_value_raw, random_model, random_model_delta, sample_slice,
                      slice_min_oracle, slice_vertices)
 
 
@@ -94,7 +94,7 @@ class TestConditioningVertex:
         sol = minimize_constrained(ConstrainedProblem(model=m, reduced=r))
         assert sol.multiple
         assert sol.value == pytest.approx(best, abs=1e-12)
-        assert covar_raw(m, r, [0.5, 0.25, 0.25]) == pytest.approx(best, abs=1e-12)
+        assert covar_at(m, r, [0.5, 0.25, 0.25]) == pytest.approx(best, abs=1e-12)
 
 
 class TestOracleAgreement:

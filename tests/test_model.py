@@ -7,9 +7,8 @@ from hypothesis import strategies as st
 
 from covarsel import (BadQuantileLevel, DimensionMismatch, DomainError,
                       MarketModel, MuParallelToOnes, NotPositiveDefinite,
-                      RiskParams, normal_quantile,
-                      standard_normal_cdf, solve_critical, validate_model)
-from covarsel.model import SYMMETRY_RTOL
+                      RiskParams, normal_quantile, solve_critical, validate_model)
+from covarsel.model import SYMMETRY_RTOL, standard_normal_cdf
 from helpers import random_model
 
 

@@ -3,8 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from covarsel import (DimensionTooLarge, DomainError, Hyperplane, HyperplaneSlice,
-                      MarketModel, McConfig, RiskParams, Simplex, SimplexSlice,
+from covarsel import (DimensionTooLarge, DomainError, MarketModel, McConfig, RiskParams,
                       TooFewBandSamples, covar_portfolio, grid_minimize, mc_covar,
                       reduce_model, validate_model)
 from covarsel import oracle
@@ -262,19 +261,19 @@ class TestBandDraw:
 class TestGridMinimize:
     def test_example1_slice_boundary_minimum(self, example1):
         m, r = example1
-        x, value = grid_minimize(m, r, SimplexSlice(E=2.0), 1e-3)
+        x, value = grid_minimize(m, r, 1e-3, E=2.0)
         assert x[0] == pytest.approx(2 / 3, abs=2e-3)
         assert value == pytest.approx((-82 + 7 * math.sqrt(5)) / 45, abs=1e-9)
 
     def test_example2_hyperplane_box(self, example2):
         m, r = example2
-        x, value = grid_minimize(m, r, Hyperplane(bound=2.0), 1e-3)
+        x, value = grid_minimize(m, r, 1e-3, bound=2.0)
         assert value == pytest.approx(-1.0, abs=1e-9)
         assert np.max(np.abs(x - np.array([1.0, 0.0, 0.0]))) < 2e-3
 
     def test_coarse_grid_returns_best_vertex(self, example2):
         m, r = example2
-        x, value = grid_minimize(m, r, Simplex(), 1.0)
+        x, value = grid_minimize(m, r, 1.0)
         vertices = np.eye(3)
         vertex_values = [covar_portfolio(m, r, v).covar for v in vertices]
         assert value == pytest.approx(min(vertex_values), abs=1e-12)
@@ -284,19 +283,19 @@ class TestGridMinimize:
         rng = np.random.default_rng(2)
         m, r = random_model(rng, n=5)
         with pytest.raises(DimensionTooLarge):
-            grid_minimize(m, r, Simplex(), 0.1)
+            grid_minimize(m, r, 0.1)
 
     def test_deterministic(self, example3):
         m, r = example3
-        first = grid_minimize(m, r, SimplexSlice(E=2.0), 1e-3)
-        second = grid_minimize(m, r, SimplexSlice(E=2.0), 1e-3)
+        first = grid_minimize(m, r, 1e-3, E=2.0)
+        second = grid_minimize(m, r, 1e-3, E=2.0)
         assert np.array_equal(first[0], second[0])
         assert first[1] == second[1]
 
     def test_hyperplane_slice_matches_line_search(self, example2):
         m, r = example2
         from helpers import covar_value_raw, slice_segment, golden_section
-        x, value = grid_minimize(m, r, HyperplaneSlice(E=2.5, bound=3.0), 2e-4)
+        x, value = grid_minimize(m, r, 2e-4, E=2.5, bound=3.0)
         x0, d, _, _ = slice_segment(m, 2.5)
         fun = lambda t: covar_value_raw(m, r, x0 + t * d)
         _, ref = golden_section(fun, -3.0, 3.0)

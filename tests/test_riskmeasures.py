@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from covarsel import (DomainError, McConfig, NumericalBreakdown, covar_portfolio, covar_raw,
+from covarsel import (DomainError, McConfig, NumericalBreakdown, covar_portfolio,
                       markowitz_frontier, mc_covar)
 from covarsel.riskmeasures import RHO_TOL, ROUTE_RTOL, _covar_rows, _first
-from helpers import random_model
+from helpers import covar_at, random_model
 
 
 # Closed forms of the three fixture markets, written out coordinate by
@@ -104,10 +104,10 @@ class TestPortfolioValue:
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("evaluate", [
-    lambda m, r, x: covar_raw(m, r, x),
+    lambda m, r, x: m.to_internal(x),
     lambda m, r, x: covar_portfolio(m, r, x),
     lambda m, r, x: mc_covar(m, x, McConfig(samples=10_000)),
-], ids=["covar_raw", "covar_portfolio", "mc_covar"])
+], ids=["to_internal", "covar_portfolio", "mc_covar"])
 def test_non_finite_weights_are_domain_errors(example2, evaluate, bad):
     m, r = example2
     with pytest.raises(DomainError, match="finite"):
@@ -143,8 +143,8 @@ class TestFunctionShape:
             m, r = random_model(rng)
             x = rng.normal(size=m.n) * rng.uniform(0.1, 3.0)
             lam = rng.uniform(0.01, 10.0)
-            left = covar_raw(m, r, lam * x)
-            right = lam * covar_raw(m, r, x)
+            left = covar_at(m, r, lam * x)
+            right = lam * covar_at(m, r, x)
             assert left == pytest.approx(right, rel=1e-10, abs=1e-10)
 
     def test_midpoint_convexity(self):
@@ -154,8 +154,8 @@ class TestFunctionShape:
             x = rng.normal(size=m.n)
             y = rng.normal(size=m.n)
             lam = rng.uniform(0.0, 1.0)
-            mix = covar_raw(m, r, lam * x + (1 - lam) * y)
-            assert mix <= lam * covar_raw(m, r, x) + (1 - lam) * covar_raw(m, r, y) + 1e-10
+            mix = covar_at(m, r, lam * x + (1 - lam) * y)
+            assert mix <= lam * covar_at(m, r, x) + (1 - lam) * covar_at(m, r, y) + 1e-10
 
     @settings(max_examples=60, deadline=None)
     @given(lam=st.floats(min_value=1e-3, max_value=1e3),
@@ -164,8 +164,8 @@ class TestFunctionShape:
         rng = np.random.default_rng(seed)
         m, r = random_model(rng, n=3)
         x = rng.normal(size=3)
-        assert covar_raw(m, r, lam * x) == pytest.approx(
-            lam * covar_raw(m, r, x), rel=1e-10, abs=1e-10)
+        assert covar_at(m, r, lam * x) == pytest.approx(
+            lam * covar_at(m, r, x), rel=1e-10, abs=1e-10)
 
     def test_route_agreement_bulk(self):
         # covar_portfolio raises if the two routes drift; exercising it on a

@@ -8,16 +8,19 @@ frontier request forms no k x n weight array: only the record's reader and
 the one-row solves call ``closedform._rows``.  The CLI reads
 every number it takes in through one function, ``cli._number``.  Only the
 reduction solves on the Cholesky factor: every closed form is built from its
-two solves.
+two solves.  Every function the package exports has a caller in the package,
+its scripts or its bench, bar a short list kept for callers outside them.
 """
 
 import ast
 import importlib
+import inspect
 import pathlib
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "covarsel"
 TRACER = ROOT / "bench" / "tracer.py"
+CALLER_DIRS = (SRC, ROOT / "scripts", ROOT / "bench")
 # Below this magnitude a float literal reads as a tolerance.
 TOLERANCE_SIZE = 1e-3
 
@@ -222,3 +225,45 @@ def test_frontier_requests_form_no_weight_rows():
     found = sorted(users - ROW_FORMERS)
     assert not found, "check and keep coefficients on the basis, not rows: " + ", ".join(found)
     assert "Frontier" in users
+
+
+# Exported functions that need no caller in ``src/``, ``scripts/`` or
+# ``bench/``, each with its reason.
+UNCALLED_EXPORTS = {
+    "lemma_minimize": "the scalar lemma of acceptance criterion 7; it stays public until "
+                      "the closed form is routed through it or it moves to the tests",
+    "kkt_certificate": "lets a caller check a constrained answer it holds",
+    "grid_minimize": "the brute-force grid oracle that the package ships beside the "
+                     "Monte-Carlo one",
+    "project_simplex": "the bench tracer wraps it by name and counts its calls; it goes "
+                       "together with that counter",
+}
+
+
+def _called_names(tree: ast.AST) -> set[str]:
+    """Names called as ``name(...)`` or ``obj.name(...)``."""
+    return {node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+            for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and isinstance(node.func, (ast.Name, ast.Attribute))}
+
+
+def test_call_rule_reads_plain_and_attribute_calls():
+    tree = ast.parse("from x import f, g\n"
+                     "def h():\n"
+                     "    return f(1) + mod.k(2)\n"
+                     "g\n"
+                     "obj.attr\n")
+    assert _called_names(tree) == {"f", "k"}
+
+
+def test_every_exported_function_has_a_caller():
+    package = importlib.import_module("covarsel")
+    exported = {name for name, value in vars(package).items()
+                if not name.startswith("_") and inspect.isfunction(value)}
+    assert set(UNCALLED_EXPORTS) <= exported
+    called = set()
+    for path in (p for folder in CALLER_DIRS for p in folder.glob("*.py")):
+        called |= _called_names(ast.parse(path.read_text()))
+    found = sorted(exported - called - set(UNCALLED_EXPORTS))
+    assert not found, "exported functions with no caller in src/, scripts/ or bench/: " \
+        + ", ".join(found)
