@@ -191,11 +191,12 @@ def minimum_variance_efficient(E, gmv: float):
 def _basis(m: ValidatedModel, r: ReducedModel) -> np.ndarray:
     """Internal rows ``e_Y``, ``ubar = (-1'u, u)``, ``wbar = (-1'w, w)``, with
     ``u = Qhat^-1 mu_hat`` and ``w = beta_C u - alpha_C Qhat^-1 q_hat``.
-    ``w'Qhat w = alpha_C detG``, so ``wbar`` is zero where detG is."""
+    ``w'Qhat w = alpha_C detG``, and with two assets detG is 0, so ``wbar`` is
+    taken as zero there rather than as its rounding noise."""
     basis = np.zeros((3, m.n))
     basis[0, 0] = 1.0
     basis[1, 1:] = r.qinv_mu
-    if r.detG:
+    if m.n > 2:
         basis[2, 1:] = r.beta_C * r.qinv_mu - r.alpha_C * r.qinv_qh
     basis[1:, 0] = -basis[1:, 1:].sum(axis=1)
     return basis
@@ -220,7 +221,7 @@ def _closed_form(m: ValidatedModel, r: ReducedModel, e_hat: np.ndarray):
     a = m.risk.a
     root = math.sqrt(r.Delta)
     slope = e_hat / r.alpha_C
-    coef = np.abs(e_hat) * a / (r.alpha_C * root) if r.detG else np.zeros_like(slope)
+    coef = np.abs(e_hat) * a / (r.alpha_C * root) if m.n > 2 else np.zeros_like(slope)
     coeffs = np.array((np.ones_like(slope), slope, coef)).T
     values = -m.mu1 + a * m.sigma1 \
         + e_hat * (a * r.beta_C / r.alpha_C - 1.0) + np.abs(e_hat) / r.alpha_C * root
