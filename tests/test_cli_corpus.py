@@ -1,10 +1,13 @@
 """The committed CLI corpus: every call's exit code, stdout and stderr, byte
 for byte.
 
-Each file under ``tests/corpus/`` holds one call's argv and what it printed.
-The calls are the three fixture scenarios in text, csv and json, under
-``describe``, ``solve --E 0.5``, ``frontier --steps 11``, ``constrained``,
-``constrained --E 0.5`` and ``validate --samples 100000 --seed 3``.
+Each JSON file directly under ``tests/corpus/`` holds one call's argv and
+what it printed.  The calls are the three fixture scenarios in text, csv and
+json, under ``describe``, ``solve --E 0.5``, ``frontier --steps 11``,
+``constrained``, ``constrained --E 0.5`` and ``validate --samples 100000
+--seed 3`` (54 files); one round of the benchmark's cli-session calls for
+seeds 1 and 2 (36 files, their generated scenarios in ``session1/`` and
+``session2/``); and the ``@example`` input of the CLI's exit-code fuzz test.
 ``scripts/rewrite_cli_corpus.py`` writes them; an output that changes on
 purpose is rewritten there and listed with its reason in CHANGES.md.
 """
@@ -23,7 +26,7 @@ CASES = sorted((ROOT / "tests" / "corpus").glob("*.json"))
 
 
 def test_corpus_holds_every_fixture_call():
-    assert len(CASES) == 54
+    assert len(CASES) == 91
 
 
 @pytest.mark.parametrize("path", CASES, ids=[p.stem for p in CASES])
