@@ -11,10 +11,8 @@ everything independently.
 
 from .closedform import (CriticalSolution, EfficiencyClass, Frontier, FrontierPoint,
                          LemmaOutcome, LemmaParams, SolveStatus,
-                         classify_efficiency, frontier, lemma_minimize,
-                         markowitz_frontier,
-                         minimum_variance_efficient, point_is_efficient,
-                         solvability_status, solve_critical)
+                         classify_efficiency, frontier, is_efficient, lemma_minimize,
+                         markowitz_frontier, solvability_status, solve_critical)
 from .constrained import (ConstrainedProblem, ConstrainedSolution, constrained_frontier,
                           kkt_certificate, minimize_constrained, project_simplex)
 from .errors import (BadQuantileLevel, CovarselError, DimensionMismatch,

@@ -20,11 +20,9 @@ import sys
 
 import numpy as np
 
-from .closedform import (Frontier, SolveStatus, classify_efficiency, frontier,
-                         markowitz_frontier, minimum_variance_efficient,
-                         point_is_efficient, solvability_status, solve_critical,
-                         target_grid)
-from .constrained import ConstrainedProblem, minimize_constrained
+from .closedform import (Frontier, SolveStatus, classify_efficiency, frontier, is_efficient,
+                         markowitz_frontier, solvability_status, solve_critical, target_grid)
+from .constrained import ConstrainedProblem, min_risk_return, minimize_constrained
 from .errors import (CovarselError, NoConvergence, NumericalBreakdown,
                      PreconditionViolated, ScenarioError)
 from .model import MarketModel, RiskParams, validate_model
@@ -228,12 +226,10 @@ def cmd_describe(scenario: Scenario, fmt: str, out) -> int:
 
 def cmd_solve(scenario: Scenario, target: float, fmt: str, out) -> int:
     m, r = scenario.model, scenario.reduced
-    sol = solve_critical(m, r, target)
-    if sol.x is not None:
-        point = Frontier(target, sol.value, sol.x,
-                         point_is_efficient(sol.efficiency_class, sol.E_hat), sol.status.value)
-        _emit_points(point, fmt if fmt != "text" else "csv", out)
+    if solvability_status(r) in (SolveStatus.UNIQUE, SolveStatus.MARKOWITZ_FALLBACK):
+        _emit_points(frontier(m, r, target, target, 1), fmt if fmt != "text" else "csv", out)
         return EXIT_OK
+    sol = solve_critical(m, r, target)
     record = {
         "E": target,
         "status": sol.status.value,
@@ -262,7 +258,7 @@ def cmd_frontier(scenario: Scenario, e_min, e_max, steps, mode, fmt, out) -> int
         grid = target_grid(e_min, e_max, steps)
         weights, gmv, sigma = markowitz_frontier(m, r, grid)
         values = sigma if mode == "sigma" else m.risk.a * sigma - grid
-        points = Frontier(grid, values, weights, minimum_variance_efficient(grid, gmv),
+        points = Frontier(grid, values, weights, is_efficient(grid, gmv),
                           SolveStatus.UNIQUE.value)
     _emit_points(points, fmt if fmt != "text" else "csv", out)
     return EXIT_OK
@@ -272,9 +268,9 @@ def cmd_constrained(scenario: Scenario, target, fmt, out) -> int:
     m, r = scenario.model, scenario.reduced
     problem = ConstrainedProblem(model=m, reduced=r, E=target)
     sol = minimize_constrained(problem)
-    point = Frontier(target if target is not None
-                     else float(sol.x @ np.asarray(scenario.market.mu)),
-                     sol.value, sol.x, False, "Constrained")
+    E = target if target is not None else float(sol.x @ np.asarray(scenario.market.mu))
+    threshold = min_risk_return(problem, sol if target is None else None)
+    point = Frontier(E, sol.value, sol.x, is_efficient(E, threshold), "Constrained")
     if fmt == "json":
         header, (row,) = _point_rows(point)
         record = dict(zip(header, row))

@@ -181,11 +181,20 @@ def classify_efficiency(r: ReducedModel) -> EfficiencyClass:
     return EfficiencyClass.ALL_EFFICIENT
 
 
-def minimum_variance_efficient(E, gmv: float):
-    """Classical efficiency rule: a minimum-variance portfolio is efficient at
-    or above the global minimum-variance return ``gmv``.
-    Elementwise over an array of returns E."""
-    return np.asarray(E) >= gmv - TARGET_SLACK
+# Excess return of each class's least-risk point, its ``is_efficient`` threshold.
+MIN_RISK_E_HAT = {EfficiencyClass.NONE_EFFICIENT: math.inf,
+                  EfficiencyClass.NON_NEGATIVE_E_HAT: 0.0,
+                  EfficiencyClass.ALL_EFFICIENT: -math.inf}
+
+
+def is_efficient(E, threshold: float):
+    """Whether points at returns E (elementwise) are efficient: no feasible
+    portfolio has at least their return at lower risk, nor their risk at a
+    higher return.  The optimal risk V(E), the perturbation function of a
+    convex program, is convex in E: it falls up to its minimizers and rises
+    after them, so E is efficient exactly at or above ``threshold``, the
+    highest return at which V is least."""
+    return np.asarray(E) >= threshold - TARGET_SLACK
 
 
 def _basis(m: ValidatedModel, r: ReducedModel) -> np.ndarray:
@@ -407,18 +416,6 @@ class Frontier:
                              self.status)
 
 
-def point_is_efficient(eff: EfficiencyClass, e_hat):
-    """Whether the critical portfolio at excess return e_hat is efficient.
-
-    Given an array, the E_hat >= 0 class answers elementwise; the other two
-    classes answer with one bool for every point."""
-    if eff is EfficiencyClass.NONE_EFFICIENT:
-        return False
-    if eff is EfficiencyClass.ALL_EFFICIENT:
-        return True
-    return e_hat >= -TARGET_SLACK
-
-
 def target_grid(e_min: float, e_max: float, steps: int) -> np.ndarray:
     """Uniform return grid from e_min up to e_max, in return order."""
     if not e_min <= e_max:
@@ -434,8 +431,8 @@ def frontier(m: ValidatedModel, r: ReducedModel, e_min: float, e_max: float,
              steps: int) -> Frontier:
     """Sample the optimal value across a uniform target-return grid.
 
-    Requires Delta > 0, dependent (1, mu, q) included; points are flagged
-    efficient by ``classify_efficiency`` and labelled by
+    Requires Delta > 0, dependent (1, mu, q) included; points are flagged by
+    ``is_efficient`` at their class's ``MIN_RISK_E_HAT`` and labelled by
     ``solvability_status``.  The whole grid is taken as coefficients on the
     one basis and rechecked through it as one batch, with the same per-point
     checks as ``solve_critical``; each row equals ``solve_critical`` at its
@@ -448,7 +445,6 @@ def frontier(m: ValidatedModel, r: ReducedModel, e_min: float, e_max: float,
             f"frontier is defined only for Delta > 0, got Delta={r.Delta!r}")
     e_hat = grid - m.mu1
     coeffs, basis, values = _unique_critical(m, r, e_hat)
-    flags = np.zeros(grid.shape, bool)
-    flags |= point_is_efficient(classify_efficiency(r), e_hat)
+    flags = is_efficient(e_hat, MIN_RISK_E_HAT[classify_efficiency(r)])
     return Frontier(grid, values, coeffs, flags, solvability_status(r).value,
                     m.to_original(basis))

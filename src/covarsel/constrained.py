@@ -32,7 +32,7 @@ import numpy as np
 from .errors import InfeasibleSlice, NoConvergence, NumericalBreakdown
 from .model import ValidatedModel
 from .reduction import ReducedModel
-from .closedform import CONSTRAINT_TOL, TARGET_SLACK, Frontier
+from .closedform import CONSTRAINT_TOL, TARGET_SLACK, Frontier, is_efficient
 from .riskmeasures import QUAD_FLOOR, _raw_value
 
 ACTIVE_TOL = 1e-7
@@ -40,7 +40,6 @@ DUAL_TOL = 1e-8  # relative to max|g|, so the stop rule is free of the market's 
 RANK_RTOL = 1e-12
 ROUNDS_PER_ASSET = 10
 TIE_RTOL = 1e-9  # relative gap at which f(e1) and the facet minimum tie
-DOMINANCE_SLACK = 1e-10  # how much lower a dominating frontier value must be
 
 
 @dataclass(frozen=True)
@@ -324,17 +323,27 @@ def kkt_certificate(problem: ConstrainedProblem, x):
     return _kkt_at(c, r.Q, m.risk.b, _rows(m.mu, problem.E)[0], xi)
 
 
+def min_risk_return(problem: ConstrainedProblem, best: ConstrainedSolution | None = None):
+    """Highest return of a whole-simplex minimizer (``best`` is the solve there,
+    if at hand), the ``is_efficient`` threshold of constrained points.  In a tie
+    the facet minimum is solved again for the optimal segment's higher end."""
+    m, r = problem.model, problem.reduced
+    whole = ConstrainedProblem(model=m, reduced=r)
+    best = minimize_constrained(whole) if best is None else best
+    ends = [best.x @ m.to_original(m.mu)]
+    if best.multiple:
+        ends += [m.mu1, _facet_minimum(_linear_term(whole), r.Q, m.risk.b, m.mu, None,
+                                       ROUNDS_PER_ASSET * m.n)[0] @ m.mu]
+    return float(max(ends))
+
+
 def constrained_frontier(problem: ConstrainedProblem, e_grid) -> Frontier:
-    """Constrained minimum per grid return; the lower envelope of the
-    feasible region's image, as one ``Frontier`` record with status
-    "Constrained".  Points are flagged efficient when no other sampled point
-    weakly dominates them (lower value at a return at least as high)."""
+    """Constrained minimum per grid return, the lower envelope of the feasible
+    region's image, as one "Constrained" ``Frontier``; points are flagged by
+    ``is_efficient`` at ``min_risk_return``, one more whole-simplex solve."""
     grid = np.asarray(e_grid, dtype=float)
     sols = [minimize_constrained(ConstrainedProblem(model=problem.model, reduced=problem.reduced,
                                                     E=e)) for e in grid.tolist()]
-    values = np.array([sol.value for sol in sols], dtype=float)
-    dominated_by = (grid >= grid[:, None] - TARGET_SLACK) \
-        & (values < values[:, None] - DOMINANCE_SLACK)
-    np.fill_diagonal(dominated_by, False)
-    weights = np.reshape([sol.x for sol in sols], (len(sols), problem.model.n))
-    return Frontier(grid, values, weights, ~dominated_by.any(axis=1), "Constrained")
+    return Frontier(grid, [sol.value for sol in sols],
+                    np.reshape([sol.x for sol in sols], (len(sols), problem.model.n)),
+                    is_efficient(grid, min_risk_return(problem)), "Constrained")

@@ -122,6 +122,21 @@ class TestConstrained:
         assert row["value"] == pytest.approx(-1.0, abs=1e-9)
         assert row["w1"] == pytest.approx(1.0, abs=1e-9)
 
+    @pytest.mark.parametrize("name,flags,efficient", [
+        ("example1", (), False),                           # E = 2 below E* = 4
+        ("example2", (), True),                            # E = 2, the minimum itself
+        ("example2", ("--no-target",), True),
+        ("example1", ("--no-target",), True),
+        ("example3", ("--non-negative", "--E", "2"), True),  # E* = 1
+    ])
+    def test_efficient_at_or_above_the_minimum(self, scenario_dir, name, flags, efficient):
+        """A constrained point is efficient exactly when its return is at or
+        above that of the whole simplex's minimum-risk point."""
+        code, out = run_cli(["constrained", "--scenario", scenario(scenario_dir, name),
+                             *flags, "--format", "json"])
+        assert code == 0
+        assert json.loads(out)["efficient"] is efficient
+
     def test_requires_flag_or_scenario_constraint(self, scenario_dir):
         import contextlib
         with contextlib.redirect_stderr(io.StringIO()):

@@ -13,10 +13,10 @@ from covarsel import (EfficiencyClass, LemmaParams, NumericalBreakdown,
                       PreconditionViolated, ReducedModel, RiskParams, SolveStatus,
                       covar_portfolio, classify_efficiency, frontier,
                       lemma_minimize, markowitz_frontier,
-                      point_is_efficient, reduce_model,
+                      reduce_model,
                       solve_critical, validate_model, MarketModel)
-from covarsel.closedform import (CONSTRAINT_TOL, Frontier, FrontierPoint, _basis,
-                                 _closed_form, _recheck, _rows)
+from covarsel.closedform import (CONSTRAINT_TOL, MIN_RISK_E_HAT, Frontier, FrontierPoint, _basis,
+                                 _closed_form, _recheck, _rows, is_efficient)
 from covarsel.riskmeasures import _covar_rows, _gram_rows, _raw_rows
 from helpers import (covar_at, covar_value_raw, golden_section, near_dependent_model, random_model,
                      random_model_delta)
@@ -514,7 +514,8 @@ class TestFrontier:
                     sol = solve_critical(m, r, p.E)
                     assert np.array_equal(p.weights, sol.x)
                     assert p.value == sol.value
-                    assert p.efficient is point_is_efficient(sol.efficiency_class, sol.E_hat)
+                    threshold = MIN_RISK_E_HAT[sol.efficiency_class]
+                    assert p.efficient == is_efficient(sol.E_hat, threshold)
             e_y = np.zeros(n)
             e_y[int(m.perm[0])] = 1.0
             assert np.array_equal(frontier(m, r, m.mu1, m.mu1 + span, 101)[0].weights, e_y)
@@ -541,7 +542,7 @@ class TestFrontier:
             sol = solve_critical(m, r, p.E)
             assert np.array_equal(p.weights, sol.x)
             assert p.value == pytest.approx(sol.value, rel=1e-12, abs=1e-12)
-            assert p.efficient is point_is_efficient(sol.efficiency_class, sol.E_hat)
+            assert p.efficient == is_efficient(sol.E_hat, MIN_RISK_E_HAT[sol.efficiency_class])
 
 
 class TestDependentMarkets:

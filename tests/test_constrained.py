@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -199,6 +200,67 @@ class TestConstrainedFrontier:
             dominated = any(e >= p.E - 1e-12 and v < p.value - 1e-10
                             for e, v in values.items() if e != p.E)
             assert p.efficient == (not dominated)
+
+
+    def test_flags_against_dense_dominance(self):
+        """A point is flagged efficient exactly when neither the whole
+        simplex's minimum nor any point of a 10 times denser grid has at least
+        its return at lower risk.  A grid whose step straddles the minimum
+        leaves the points below it undominated by the other grid points.  The
+        dense grid is solved only from the lowest point the minimum leaves
+        undominated, as no dense point can change the answer below it."""
+        rng = np.random.default_rng(2024)
+        for _ in range(60):
+            n = int(rng.integers(3, 20))
+            m, r = random_model(rng, n, b=2.5)
+            lo, hi = float(m.mu.min()), float(m.mu.max())
+            pts = constrained_frontier(ConstrainedProblem(model=m, reduced=r),
+                                       np.linspace(lo, hi, 101))
+            best = minimize_constrained(ConstrainedProblem(model=m, reduced=r))
+            e_best = float(best.x @ m.to_original(m.mu))
+            by_best = (e_best >= pts.E - 1e-12) & (best.value < pts.value - 1e-10)
+            dense_e = np.linspace(lo, hi, 1001)
+            dense = constrained_frontier(ConstrainedProblem(model=m, reduced=r),
+                                         dense_e[dense_e >= pts.E[~by_best].min() - 1e-12])
+            for p, dominated in zip(pts, by_best.tolist()):
+                dominated = dominated or bool(np.any((dense.E >= p.E - 1e-12)
+                                                     & (dense.value < p.value - 1e-10)))
+                assert p.efficient == (not dominated), (p.E, p.value)
+
+    def test_example1_below_the_minimum(self, example1):
+        """Example 1's minimum is (0, 1, 0), return 4 at risk -4.023: no point
+        over [1, 3] is efficient, E = 3 (risk -2.749) included."""
+        m, r = example1
+        pts = constrained_frontier(ConstrainedProblem(model=m, reduced=r), np.linspace(1, 3, 21))
+        assert pts[-1].value == pytest.approx(-2.749, abs=1e-3)
+        assert not pts.efficient.any()
+
+    @pytest.mark.parametrize("a,facet_mu", [(1.0, -0.2), (0.5, 0.2)])
+    def test_tie_takes_the_higher_return(self, a, facet_mu):
+        """When f(e1) ties the facet minimum (0, 1/2, 1/2), every point of the
+        segment between them is a minimizer, and only the return of its higher
+        end is efficient.  The facet end is the lower one in the first market
+        and the higher one in the second."""
+        facet = -facet_mu + 1 / math.sqrt(2)
+        m, r = _pair([a - facet, facet_mu, facet_mu], np.eye(3), a=a, b=1.0)
+        assert minimize_constrained(ConstrainedProblem(model=m, reduced=r)).multiple
+        grid = np.linspace(float(m.mu.min()), float(m.mu.max()), 11)
+        pts = constrained_frontier(ConstrainedProblem(model=m, reduced=r), grid)
+        assert np.allclose(pts.value, facet, atol=1e-9)
+        assert pts.efficient.tolist() == [False] * 10 + [True]
+
+    def test_flagging_memory_is_linear(self, example1):
+        """A 1,000-point frontier on a 3-asset market keeps under 1 MB traced:
+        the flags take one comparison a point, not a point-by-point matrix."""
+        m, r = example1
+        grid = np.linspace(1.0, 4.0, 1000)
+        tracemalloc.start()
+        try:
+            constrained_frontier(ConstrainedProblem(model=m, reduced=r), grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
 
 
 class TestSlsqpDifferential:
