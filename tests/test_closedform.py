@@ -12,8 +12,7 @@ from hypothesis import strategies as st
 from covarsel import (EfficiencyClass, LemmaParams, NumericalBreakdown,
                       PreconditionViolated, ReducedModel, RiskParams, SolveStatus,
                       covar_portfolio, classify_efficiency, frontier,
-                      lemma_minimize, markowitz_frontier,
-                      reduce_model,
+                      lemma_minimize, markowitz_frontier, reduce_model,
                       solve_critical, validate_model, MarketModel)
 from covarsel.closedform import (CONSTRAINT_TOL, MIN_RISK_E_HAT, Frontier, FrontierPoint, _basis,
                                  _closed_form, _recheck, _rows, is_efficient)

@@ -201,7 +201,6 @@ class TestConstrainedFrontier:
                             for e, v in values.items() if e != p.E)
             assert p.efficient == (not dominated)
 
-
     def test_flags_against_dense_dominance(self):
         """A point is flagged efficient exactly when neither the whole
         simplex's minimum nor any point of a 10 times denser grid has at least
