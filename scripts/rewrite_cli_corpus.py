@@ -43,6 +43,8 @@ COMMANDS = (
     ("describe",),
     ("solve", "--E", "0.5"),
     ("frontier", "--steps", "11"),
+    ("frontier", "--mode", "sigma", "--E-min", "0", "--E-max", "5", "--steps", "11"),
+    ("frontier", "--mode", "var", "--E-min", "0", "--E-max", "5", "--steps", "11"),
     ("constrained",),
     ("constrained", "--E", "0.5"),
     ("validate", "--samples", "100000", "--seed", "3"),
