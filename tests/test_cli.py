@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import pathlib
 import subprocess
 import sys
 import warnings
@@ -202,6 +203,31 @@ class TestFrontier:
         for s_row, v_row in zip(sig_rows, var_rows):
             assert v_row["value"] == pytest.approx(-v_row["E"] + 1.0 * s_row["value"],
                                                    rel=1e-12)
+
+    @pytest.mark.parametrize("name, least, flagged", [
+        ("example1", math.inf, 0), ("example2", 3.5453, 3), ("example3", 1.5615, 7)])
+    def test_var_flags_against_dense_dominance(self, scenario_dir, name, least, flagged):
+        """A var row is efficient exactly when no return at least as high has a
+        lower a sigma(E) - E, with sigma(E) from Merton's hyperbola written on
+        sigma^-1: (A E^2 - 2 B E + C)/(A C - B^2)."""
+        path = scenario(scenario_dir, name)
+        code, out = run_cli(["frontier", "--scenario", path, "--mode", "var", "--E-min", "0",
+                             "--E-max", "5", "--steps", "11", "--format", "json"])
+        assert code == 0
+        raw = json.loads(pathlib.Path(path).read_text())
+        mu, sigma, a = np.array(raw["mu"]), np.array(raw["sigma"]), raw["risk"]["a"]
+        (A, B), (_, C) = np.vstack((np.ones_like(mu), mu)) @ np.linalg.solve(
+            sigma, np.column_stack((np.ones_like(mu), mu)))
+        risk = lambda E: a * np.sqrt((A * E * E - 2.0 * B * E + C) / (A * C - B * B)) - E
+        grid = np.linspace(0.0, 50.0, 50_001)
+        best = grid[np.argmin(risk(grid))]
+        assert best == (grid[-1] if math.isinf(least) else pytest.approx(least, abs=1e-3))
+        rows = json.loads(out)
+        for row in rows:
+            assert row["value"] == pytest.approx(risk(row["E"]), rel=1e-12, abs=1e-12)
+            dominated = np.any(risk(grid[grid > row["E"]]) < row["value"] - 1e-9)
+            assert row["efficient"] is not dominated, row
+        assert sum(row["efficient"] for row in rows) == flagged
 
     def test_degenerate_regime_diagnosis(self, scenario_dir):
         code, out = run_cli(["frontier", "--scenario", scenario(scenario_dir, "example1"),
