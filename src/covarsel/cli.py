@@ -257,16 +257,13 @@ def cmd_frontier(scenario: Scenario, e_min, e_max, steps, mode, fmt, out) -> int
     else:
         grid = target_grid(e_min, e_max, steps)
         weights, least, sigma = markowitz_frontier(m, r, grid)
-        values = sigma
+        values = sigma if mode == "sigma" else m.risk.a * sigma - grid
         if mode == "var":
-            # sigma(E)^2 = sigma_g^2 + k (E - gmv)^2 with sigma_g^2 = sigma1^2/(1 + gamma_C)
-            # and k = (1 + gamma_C)/(alpha_C + detG): a sigma(E) - E is least at
-            # gmv + sigma_g/sqrt(k (a^2 k - 1)) when a^2 k > 1, and falls for ever otherwise.
+            # sigma(E)^2 = sigma_g^2 + k (E - gmv)^2, sigma_g^2 = sigma1^2/(1 + gamma_C): a sigma(E)
+            # - E is least at gmv + sigma_g/sqrt(k (a^2 k - 1)) if a^2 k > 1, and falls if not.
             k = (1.0 + r.gamma_C) / (r.alpha_C + r.detG)
-            rise = m.risk.a ** 2 * k - 1.0
-            least = least + m.sigma1 / math.sqrt((1.0 + r.gamma_C) * k * rise) \
-                if rise > 0.0 else math.inf
-            values = m.risk.a * sigma - grid
+            rise = (1.0 + r.gamma_C) * k * (m.risk.a ** 2 * k - 1.0)
+            least = least + m.sigma1 / math.sqrt(rise) if rise > 0.0 else math.inf
         points = Frontier(grid, values, weights, is_efficient(grid, least),
                           SolveStatus.UNIQUE.value)
     _emit_points(points, fmt if fmt != "text" else "csv", out)

@@ -39,7 +39,7 @@ import numpy as np
 from .errors import DimensionTooLarge, DomainError, TooFewBandSamples
 from .model import ValidatedModel, normal_quantile, standard_normal_cdf
 from .reduction import ReducedModel
-from .riskmeasures import _raw_rows
+from .riskmeasures import _raw_rows, _stress_law
 
 BOOTSTRAP_REPS = 256
 MIN_BAND_KEPT = 100
@@ -251,7 +251,6 @@ def mc_covar(m: ValidatedModel, x, cfg: McConfig) -> McEstimate:
     or when the band retains fewer than MIN_BAND_KEPT draws.
     """
     xi = m.to_internal(x)
-    a, b = m.risk.a, m.risk.b
     beta_level = m.risk.beta_level
     tail_draws = math.ceil(beta_level * cfg.samples)
     if tail_draws < MIN_BAND_KEPT:
@@ -259,16 +258,9 @@ def mc_covar(m: ValidatedModel, x, cfg: McConfig) -> McEstimate:
             f"beta = {beta_level:.3e} leaves {tail_draws} of {cfg.samples} draws at or "
             f"below the quantile (< {MIN_BAND_KEPT}); use more samples or a smaller b")
 
-    mu_x = float(xi @ m.mu)
-    sigma_x = math.sqrt(max(0.0, float(xi @ m.sigma @ xi)))
-    mu_y = m.mu1
-    sigma_y = m.sigma1
-    cov_xy = float(xi @ m.sigma[:, 0])
-    rho = min(1.0, max(-1.0, cov_xy / (sigma_x * sigma_y)))
-
-    y_star = mu_y - a * sigma_y
-    cond_mean = mu_x + rho * sigma_x / sigma_y * (y_star - mu_y)
-    cond_var = max(0.0, sigma_x * sigma_x * (1.0 - rho * rho))
+    mu_x, sigma_x, _, cond_mean, cond_var = (
+        float(v[0]) for v in _stress_law(m, np.ones((1, 1)), xi[None, :]))
+    y_star = m.mu1 - m.risk.a * m.sigma1
 
     base = np.random.Philox(cfg.seed)
     n_samp = cfg.samples
@@ -283,7 +275,7 @@ def mc_covar(m: ValidatedModel, x, cfg: McConfig) -> McEstimate:
         estimate = -float(cond_mean + scale * z_rank)
         std_error = float(np.std(cond_mean + scale * z_boot, ddof=1))
 
-    eps = cfg.band_epsilon if cfg.band_epsilon is not None else 0.05 * sigma_y
+    eps = cfg.band_epsilon if cfg.band_epsilon is not None else 0.05 * m.sigma1
     kept = _band_returns(m, xi, mu_x, y_star, eps, base, n_samp)
     if kept.shape[0] < MIN_BAND_KEPT:
         raise TooFewBandSamples(

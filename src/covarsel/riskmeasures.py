@@ -1,18 +1,13 @@
 """Risk evaluation for arbitrary portfolios.
 
-The conditional value-at-risk has two forms:
-
-* the bivariate form, from the distribution of (portfolio, conditioning
-  asset): ``-mu_X + sigma_X * (rho * a + b * sqrt(1 - rho^2))``;
-* the reduced form, directly in weight space:
-  ``-x'mu + a x'q + b sqrt(x'Qx)``.
-
-``covar_portfolio`` evaluates both and raises if they disagree.  The bivariate
-form takes rho from ``x'q`` and ``1 - rho^2`` from ``x'Qx``, so the two agree
-up to rounding even when ``q`` or ``Q`` is wrong: the comparison catches a
-NaN, a volatility that is not positive, |rho| > 1 and ``x'Qx > x'sigma x``.
-It takes its rows as combinations ``coeffs @ basis`` of a few basis vectors
-and reads every quadratic off the basis' Gram matrices, so the closed-form
+Under joint normality the risk of x is ``-E[X | Y = y*] + b sd[X | Y = y*]``
+for X = x'R, Y the conditioning asset and ``y* = mu_Y - a sigma_Y``.  Two
+routes give it: the reduced form ``-x'mu + a x'q + b sqrt(x'Qx)``, and the
+conditional normal law of X given Y = y* read from ``mu`` and ``sigma`` alone
+(``_stress_law``, which the Monte-Carlo oracle samples too).
+``covar_portfolio`` raises if they disagree, so a wrong ``q`` or ``Q`` fails
+it.  Rows are taken as combinations ``coeffs @ basis`` of a few basis vectors,
+with every quadratic read off the basis' Gram matrices, so the closed-form
 frontier rechecks a whole grid, whose rows span three vectors, in O(n^2).
 """
 
@@ -27,7 +22,10 @@ from .model import WEIGHT_SUM_TOL, ValidatedModel
 from .reduction import ReducedModel
 
 ROUTE_RTOL = 1e-9
-RHO_TOL = 1e-12
+# rho, a ratio of quadratics, is allowed 32 eps of rounding: 64 eps in 1 - rho^2,
+# which the root in sd[X | Y] = sigma_X sqrt(1 - rho^2) turns into up to
+# sqrt(64 eps) sigma_X where rho^2 is near 1.  The routes may differ b times that.
+COND_SD_SLACK = np.sqrt(64.0 * np.finfo(float).eps)
 # Below this the quadratic term is treated as exactly zero: the square root is
 # still well defined there even though its gradient is not, and the all-in-one
 # conditioning-asset portfolio is a legitimate input.
@@ -71,43 +69,46 @@ def _gram_rows(coeffs: np.ndarray, basis: np.ndarray, mat: np.ndarray) -> np.nda
     return np.einsum("ij,ij->i", coeffs @ (basis @ mat @ basis.T), coeffs)
 
 
+def _stress_law(m: ValidatedModel, coeffs: np.ndarray, basis: np.ndarray):
+    """Law of X = x'R given Y = y* for each row x of ``coeffs @ basis`` (internal
+    order) from ``mu`` and ``sigma`` alone: arrays ``(expected, sigma_X, rho,
+    cond_mean, cond_var)``, ``rho = x'sigma e_Y / (sigma_X sigma_Y)`` clamped."""
+    mu_y, sigma_y = m.mu1, m.sigma1
+    expected = coeffs @ (basis @ m.mu)
+    sigma_x = np.sqrt(np.maximum(0.0, _gram_rows(coeffs, basis, m.sigma)))
+    cov_xy = coeffs @ (basis @ m.sigma[:, 0])
+    rho = np.minimum(1.0, np.maximum(-1.0, cov_xy / (sigma_x * sigma_y)))
+    y_star = mu_y - m.risk.a * sigma_y
+    cond_mean = expected + rho * sigma_x / sigma_y * (y_star - mu_y)
+    cond_var = np.maximum(0.0, sigma_x * sigma_x * (1.0 - rho * rho))
+    return expected, sigma_x, rho, cond_mean, cond_var
+
+
 def _covar_rows(m: ValidatedModel, r: ReducedModel, coeffs: np.ndarray, basis: np.ndarray):
     """Both routes for every row of ``coeffs @ basis``: budget-feasible
     portfolios in internal order, one per row of ``coeffs`` (k x p), spanned
     by the p rows of ``basis`` (p x n).
 
     Returns arrays ``(expected, sigma, rho, value)`` with the reduced-route
-    value.  Raises NumericalBreakdown where a row's value or variance is not
+    value.  Raises NumericalBreakdown where a row's value or volatility is not
     finite, its volatility is not positive or the routes differ by more than
-    ROUTE_RTOL (relative), and DomainError where |rho| > 1 + RHO_TOL.  Each
-    test is written to fail on NaN, and an overflow fails the first one.
+    ROUTE_RTOL (relative) plus COND_SD_SLACK b sigma_X.  Each test is written
+    to fail on NaN, and an overflow fails the first one.
     """
-    a, b = m.risk.a, m.risk.b
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails a check below
-        expected = coeffs @ (basis @ m.mu)
-        xq = coeffs @ (basis @ r.q)
-        quad = _gram_rows(coeffs, basis, r.Q)
-        value = _reduced_form(m, expected, xq, quad)
-        sigma2 = _gram_rows(coeffs, basis, m.sigma)
-    i = _first(np.isfinite(value) & np.isfinite(sigma2))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # checked below
+        expected, sigma, rho, cond_mean, cond_var = _stress_law(m, coeffs, basis)
+        value = _reduced_form(m, expected, coeffs @ (basis @ r.q),
+                              _gram_rows(coeffs, basis, r.Q))
+        other = -cond_mean + m.risk.b * np.sqrt(cond_var)
+    i = _first(np.isfinite(value) & np.isfinite(sigma))
     if i is not None:
         raise NumericalBreakdown(f"risk value {float(value[i])!r} or portfolio variance "
-                                 f"{float(sigma2[i])!r} is not finite")
-    sigma = np.sqrt(np.maximum(0.0, sigma2))
+                                 f"{float(sigma[i] * sigma[i])!r} is not finite")
     i = _first(sigma > 0.0)
     if i is not None:
         raise NumericalBreakdown(f"portfolio volatility {float(sigma[i])!r} is not positive")
-    rho = xq / sigma
-    i = _first(np.abs(rho) <= 1.0 + RHO_TOL)
-    if i is not None:
-        raise DomainError(f"correlation out of range: {float(rho[i])!r}")
-    rho = np.minimum(np.maximum(rho, -1.0), 1.0)
-    # Bivariate route, with the complement 1 - rho^2 taken from the projected
-    # quadratic (quad = sigma^2 (1 - rho^2)); forming sigma^2 - (x'q)^2 instead
-    # would cancel catastrophically near |rho| = 1.
-    complement = np.where(quad < QUAD_FLOOR, 0.0, np.minimum(np.maximum(quad / sigma2, 0.0), 1.0))
-    other = -expected + sigma * (rho * a + b * np.sqrt(complement))
-    i = _first(np.abs(other - value) <= ROUTE_RTOL * np.maximum(1.0, np.abs(value)))
+    i = _first(np.abs(other - value)
+               <= ROUTE_RTOL * np.maximum(1.0, np.abs(value)) + COND_SD_SLACK * m.risk.b * sigma)
     if i is not None:
         raise NumericalBreakdown(
             f"risk evaluation routes disagree: {float(value[i])!r} vs {float(other[i])!r}")
@@ -117,8 +118,8 @@ def _covar_rows(m: ValidatedModel, r: ReducedModel, coeffs: np.ndarray, basis: n
 def covar_portfolio(m: ValidatedModel, r: ReducedModel, x) -> PortfolioReport:
     """Full risk report for a budget-feasible portfolio, cross-checked.
 
-    The reduced-route value is returned; the bivariate route is evaluated as
-    well and the two must match to ROUTE_RTOL (relative).
+    The reduced-route value is returned; the conditional law from sigma is
+    evaluated as well and the two must match (see ``_covar_rows``).
     """
     xi = m.to_internal(x)
     total = float(xi.sum())

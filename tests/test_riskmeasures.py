@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from covarsel import (DomainError, McConfig, NumericalBreakdown, covar_portfolio,
-                      markowitz_frontier, mc_covar)
-from covarsel.riskmeasures import RHO_TOL, ROUTE_RTOL, _covar_rows, _first
+from covarsel import (DomainError, McConfig, NumericalBreakdown, covar_portfolio, frontier,
+                      markowitz_frontier, mc_covar, solve_critical)
+from covarsel.riskmeasures import (COND_SD_SLACK, ROUTE_RTOL, _covar_rows, _first,
+                                   _stress_law)
 from helpers import covar_at, random_model
 
 
@@ -58,10 +59,76 @@ class TestBivariate:
         assert rep.rho == pytest.approx(1.0)
 
     def test_correlation_domain(self, example1):
-        # Doubling q makes x'q = 2 sigma at e1, a correlation of 2.
+        # Doubling q makes x'q = 2 sigma at e1; rho, taken from sigma, stays 1,
+        # so the reduced form's a x'q is off by a sigma1 = 0.8.
         m, r = example1
-        with pytest.raises(DomainError, match="correlation out of range: 2.0"):
+        with pytest.raises(NumericalBreakdown, match="routes disagree: 0.600"):
             covar_portfolio(m, dataclasses.replace(r, q=2 * r.q), [1.0, 0.0, 0.0])
+
+
+# Each scales q or Q of a correct reduction, keeping the rest of it.
+CORRUPTIONS = [(field, scale) for field in ("q", "Q")
+               for scale in (1 - 1e-3, 1 + 1e-3, 1 - 1e-6, 1 + 1e-6)]
+
+
+class TestRoutesFromSigma:
+    """The reduced form is compared with the conditional law read from sigma
+    alone, so a reduction that disagrees with sigma fails wherever it is
+    evaluated."""
+
+    @pytest.mark.parametrize("field, scale", CORRUPTIONS)
+    @pytest.mark.parametrize("fixture", ["example1", "example2", "example3"])
+    def test_corrupted_reduction_fails_evaluation(self, request, fixture, field, scale):
+        m, r = request.getfixturevalue(fixture)
+        bad = dataclasses.replace(r, **{field: scale * getattr(r, field)})
+        with pytest.raises(NumericalBreakdown, match="routes disagree"):
+            covar_portfolio(m, bad, [0.2, 0.5, 0.3])
+
+    @pytest.mark.parametrize("field, scale", CORRUPTIONS)
+    @pytest.mark.parametrize("fixture", ["example2", "example3"])
+    def test_corrupted_reduction_fails_solves(self, request, fixture, field, scale):
+        m, r = request.getfixturevalue(fixture)
+        bad = dataclasses.replace(r, **{field: scale * getattr(r, field)})
+        with pytest.raises(NumericalBreakdown):
+            solve_critical(m, bad, m.mu1 + 1.0)
+        with pytest.raises(NumericalBreakdown):
+            frontier(m, bad, 0.0, 5.0, 11)
+
+    @pytest.mark.parametrize("field, scale", [("Q", 0.5), ("Q", 0.999), ("Q", 1.001),
+                                              ("Q", 1.000001), ("q", 0.999), ("q", 1.001),
+                                              ("q", 1.000001)])
+    def test_example2_corruptions_answered_before(self, example2, field, scale):
+        # Each of these was answered when the second route took rho from x'q
+        # and 1 - rho^2 from x'Qx, repeating the reduced form.
+        m, r = example2
+        bad = dataclasses.replace(r, **{field: scale * getattr(r, field)})
+        assert covar_portfolio(m, r, [0.2, 0.5, 0.3]).covar == pytest.approx(0.2973666, abs=1e-7)
+        with pytest.raises(NumericalBreakdown, match="routes disagree"):
+            covar_portfolio(m, bad, [0.2, 0.5, 0.3])
+
+    def test_conditioning_asset_gap_under_half_its_allowance(self, example1, example2,
+                                                             example3):
+        """At e_Y, rho is 1 up to rounding, and 1 - rho^2 is all rounding: the
+        case COND_SD_SLACK allows for."""
+        rng = np.random.default_rng(31)
+        pairs = [example1, example2, example3] + [random_model(rng) for _ in range(300)]
+        for m, r in pairs:
+            coeffs, basis = np.ones((1, 1)), np.eye(m.n)[:1]
+            _, sigma, _, cond_mean, cond_var = _stress_law(m, coeffs, basis)
+            value = _covar_rows(m, r, coeffs, basis)[3]
+            gap = np.abs(-cond_mean + m.risk.b * np.sqrt(cond_var) - value)
+            allowance = ROUTE_RTOL * np.maximum(1.0, np.abs(value)) \
+                + COND_SD_SLACK * m.risk.b * sigma
+            assert gap[0] <= 0.5 * allowance[0]
+
+    def test_monte_carlo_samples_the_same_law(self, example3):
+        """mc_covar draws from the law of ``_stress_law``: with no spread left
+        its estimate is -cond_mean itself."""
+        m, r = example3
+        _, _, _, cond_mean, cond_var = _stress_law(m, np.ones((1, 1)), np.eye(3)[:1])
+        assert cond_var[0] == 0.0
+        est = mc_covar(m, [1.0, 0.0, 0.0], McConfig(samples=10_000))
+        assert (est.estimate, est.std_error) == (-float(cond_mean[0]), 0.0)
 
 
 class TestPortfolioValue:
@@ -228,9 +295,8 @@ class TestFirstFailingRow:
     @pytest.mark.parametrize("check", [
         lambda v: np.isfinite(v),
         lambda v: v > 0.0,
-        lambda v: np.abs(v) <= 1.0 + RHO_TOL,
-        lambda v: np.abs(v - 0.5) <= ROUTE_RTOL * np.maximum(1.0, np.abs(v)),
-    ], ids=["finite", "volatility", "correlation", "routes"])
+        lambda v: np.abs(v - 0.5) <= ROUTE_RTOL * np.maximum(1.0, np.abs(v)) + COND_SD_SLACK * v,
+    ], ids=["finite", "volatility", "routes"])
     def test_nan_row_fails_each_check(self, check):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -238,15 +304,15 @@ class TestFirstFailingRow:
             assert _first(check(np.array([0.5, math.nan, 0.5]))) == 1
 
     def test_volatility_error_before_correlation_error(self, example2):
-        """Row 0 has |rho| = 2 under a doubled q, row 1 is the zero
-        portfolio with volatility 0: the volatility check, which comes
+        """Row 0 fails the route comparison under a doubled q, row 1 is the
+        zero portfolio with volatility 0: the volatility check, which comes
         first, reports row 1."""
         m, r = example2
         bad = dataclasses.replace(r, q=2.0 * r.q)
         basis = np.eye(m.n)[:1]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(DomainError, match="correlation out of range: 2.0"):
+            with pytest.raises(NumericalBreakdown, match="routes disagree: 0.0 vs -1.0"):
                 _covar_rows(m, bad, np.ones((1, 1)), basis)
             with pytest.raises(NumericalBreakdown, match="portfolio volatility 0.0 is not positive"):
                 _covar_rows(m, bad, np.array([[1.0], [0.0]]), basis)

@@ -8,8 +8,10 @@ frontier request forms no k x n weight array: only the record's reader and
 the one-row solves call ``closedform._rows``.  The CLI reads
 every number it takes in through one function, ``cli._number``.  Only the
 reduction solves on the Cholesky factor: every closed form is built from its
-two solves.  Every function the package exports has a caller in the package,
-its scripts or its bench, bar a short list kept for callers outside them.
+two solves.  The conditional law that checks the reduced form is read from
+mu and sigma alone, and the risk check and the Monte-Carlo oracle share it.
+Every function the package exports has a caller in the package, its scripts
+or its bench, bar a short list kept for callers outside them.
 """
 
 import ast
@@ -225,6 +227,47 @@ def test_frontier_requests_form_no_weight_rows():
     found = sorted(users - ROW_FORMERS)
     assert not found, "check and keep coefficients on the basis, not rows: " + ", ".join(found)
     assert "Frontier" in users
+
+
+# What ``riskmeasures._stress_law`` may read off its model: the law of X given
+# Y = y* comes from (mu, sigma) and the stress intensities, never from the
+# reduction it checks.
+LAW_READS = {"mu", "sigma", "mu1", "sigma1", "risk"}
+
+
+def _function(tree: ast.Module, name: str) -> ast.FunctionDef:
+    return next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == name)
+
+
+def _foreign_reads(func: ast.FunctionDef, allowed: set[str]) -> set[str]:
+    """Every ``ReducedModel`` named in ``func``, and every ``name.attr`` it
+    reads other than ``np.*`` and its first parameter's ``allowed`` ones."""
+    model = func.args.args[0].arg
+    found = {"ReducedModel" for node in ast.walk(func)
+             if isinstance(node, ast.Name) and node.id == "ReducedModel"}
+    for node in ast.walk(func):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                and node.value.id != "np" \
+                and not (node.value.id == model and node.attr in allowed):
+            found.add(f"{node.value.id}.{node.attr}")
+    return found
+
+
+def test_law_rule_flags_the_reduction_and_other_reads():
+    func = ast.parse("def law(m: ValidatedModel, coeffs, r: ReducedModel):\n"
+                     "    y = m.mu1 - m.risk.a * np.sqrt(m.sigma[0, 0])\n"
+                     "    return coeffs @ m.mu + y + r.q + m.chol.sum()\n").body[0]
+    assert _foreign_reads(func, LAW_READS) == {"ReducedModel", "r.q", "m.chol"}
+
+
+def test_one_conditional_law_from_sigma():
+    law = _function(ast.parse((SRC / "riskmeasures.py").read_text()), "_stress_law")
+    found = sorted(_foreign_reads(law, LAW_READS))
+    assert not found, "read the conditional law from mu and sigma only: " + ", ".join(found)
+    for module, caller in (("riskmeasures.py", "_covar_rows"), ("oracle.py", "mc_covar")):
+        func = _function(ast.parse((SRC / module).read_text()), caller)
+        assert "_stress_law" in _called_names(func), f"{caller} must call _stress_law"
 
 
 # Exported functions that need no caller in ``src/``, ``scripts/`` or
