@@ -5,9 +5,9 @@ definition itself: it simulates returns, conditions on the stress level of the
 conditioning asset and reads off an empirical quantile.  Two estimators are
 produced per call:
 
-* exact-conditional: draw from the univariate conditional distribution of the
-  portfolio return given the stress event (a probability-zero event, so
-  conditioning is done analytically) and negate the empirical beta-quantile.
+* exact-conditional: draw from the portfolio return's law given the stress
+  event, a probability-zero event conditioned on analytically by the risk
+  check's ``_stress_law``, and negate the empirical beta-quantile.
   The draws are ``cond_mean + scale * z``, monotone in the standard normal z,
   so the order statistics of the draws are the mapped order statistics of z.
   The normals are streamed in fixed blocks: the pass counts the draws below a
