@@ -66,9 +66,11 @@ class TestBivariate:
             covar_portfolio(m, dataclasses.replace(r, q=2 * r.q), [1.0, 0.0, 0.0])
 
 
-# Each scales q or Q of a correct reduction, keeping the rest of it.
+# Each scales q or Q of a correct reduction, keeping the rest of it.  On
+# example 2 at (0.2, 0.5, 0.3) each was answered while the second route took
+# rho from x'q and 1 - rho^2 from x'Qx, repeating the reduced form.
 CORRUPTIONS = [(field, scale) for field in ("q", "Q")
-               for scale in (1 - 1e-3, 1 + 1e-3, 1 - 1e-6, 1 + 1e-6)]
+               for scale in (1 - 1e-3, 1 + 1e-3, 1 - 1e-6, 1 + 1e-6)] + [("Q", 0.5)]
 
 
 class TestRoutesFromSigma:
@@ -94,18 +96,6 @@ class TestRoutesFromSigma:
         with pytest.raises(NumericalBreakdown):
             frontier(m, bad, 0.0, 5.0, 11)
 
-    @pytest.mark.parametrize("field, scale", [("Q", 0.5), ("Q", 0.999), ("Q", 1.001),
-                                              ("Q", 1.000001), ("q", 0.999), ("q", 1.001),
-                                              ("q", 1.000001)])
-    def test_example2_corruptions_answered_before(self, example2, field, scale):
-        # Each of these was answered when the second route took rho from x'q
-        # and 1 - rho^2 from x'Qx, repeating the reduced form.
-        m, r = example2
-        bad = dataclasses.replace(r, **{field: scale * getattr(r, field)})
-        assert covar_portfolio(m, r, [0.2, 0.5, 0.3]).covar == pytest.approx(0.2973666, abs=1e-7)
-        with pytest.raises(NumericalBreakdown, match="routes disagree"):
-            covar_portfolio(m, bad, [0.2, 0.5, 0.3])
-
     def test_conditioning_asset_gap_under_half_its_allowance(self, example1, example2,
                                                              example3):
         """At e_Y, rho is 1 up to rounding, and 1 - rho^2 is all rounding: the
@@ -120,15 +110,6 @@ class TestRoutesFromSigma:
             allowance = ROUTE_RTOL * np.maximum(1.0, np.abs(value)) \
                 + COND_SD_SLACK * m.risk.b * sigma
             assert gap[0] <= 0.5 * allowance[0]
-
-    def test_monte_carlo_samples_the_same_law(self, example3):
-        """mc_covar draws from the law of ``_stress_law``: with no spread left
-        its estimate is -cond_mean itself."""
-        m, r = example3
-        _, _, _, cond_mean, cond_var = _stress_law(m, np.ones((1, 1)), np.eye(3)[:1])
-        assert cond_var[0] == 0.0
-        est = mc_covar(m, [1.0, 0.0, 0.0], McConfig(samples=10_000))
-        assert (est.estimate, est.std_error) == (-float(cond_mean[0]), 0.0)
 
 
 class TestPortfolioValue:
