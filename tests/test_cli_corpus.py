@@ -6,9 +6,10 @@ what it printed.  The calls are the three fixture scenarios in text, csv and
 json, under ``describe``, ``solve --E 0.5``, ``frontier --steps 11``,
 Merton's ``frontier --mode sigma`` and ``--mode var`` over ``--E-min 0
 --E-max 5 --steps 11``, ``constrained``, ``constrained --E 0.5`` and
-``validate --samples 100000 --seed 3`` (72 files); one round of the benchmark's cli-session calls for
-seeds 1 and 2 (36 files, their generated scenarios in ``session1/`` and
-``session2/``); and the ``@example`` input of the CLI's exit-code fuzz test.
+``validate --samples 100000 --seed 3`` (72 files); one round of the
+benchmark's cli-session calls for seeds 1 and 2 (36 files, their generated
+scenarios in ``session1/`` and ``session2/``); and the ``@example`` input of
+the CLI's exit-code fuzz test.
 ``scripts/rewrite_cli_corpus.py`` writes them; an output that changes on
 purpose is rewritten there and listed with its reason in CHANGES.md.
 """
