@@ -277,13 +277,15 @@ def _recheck(m: ValidatedModel, r: ReducedModel, e_hat: np.ndarray,
 
 
 def markowitz_frontier(m: ValidatedModel, r: ReducedModel,
-                       targets) -> tuple[np.ndarray, float, np.ndarray]:
+                       targets) -> tuple[np.ndarray, float, float, np.ndarray]:
     """Merton's minimum-variance portfolios on ``_basis``: weights (a row per
-    target, caller's order), the global minimum-variance return and each row's
-    volatility.  For ``x = e_Y + (-1'y, y)``, ``y = s Qhat^-1 mu_hat + t Qhat^-1
-    q_hat`` with ``[[alpha_C, beta_C], [beta_C, 1 + gamma_C]] [s, t]' = [E_hat,
-    -sigma1]``.  Both constraints hold to CONSTRAINT_TOL, and sigma's basis Gram
-    matrix gives the closed-form variance to CHECK_RTOL."""
+    target, caller's order), the global minimum-variance return, the return
+    at which the Gaussian VaR ``a sigma(E) - E`` is least (inf when it falls
+    everywhere) and each row's volatility.  For ``x = e_Y + (-1'y, y)``,
+    ``y = s Qhat^-1 mu_hat + t Qhat^-1 q_hat`` with ``[[alpha_C, beta_C],
+    [beta_C, 1 + gamma_C]] [s, t]' = [E_hat, -sigma1]``.  Both constraints
+    hold to CONSTRAINT_TOL, and sigma's basis Gram matrix gives the
+    closed-form variance to CHECK_RTOL."""
     det = r.alpha_C + r.detG
     if det <= 0.0:
         raise NumericalBreakdown("minimum-variance scalars lost strict positivity")
@@ -303,7 +305,13 @@ def markowitz_frontier(m: ValidatedModel, r: ReducedModel,
     i = _first(np.abs(sigma2 - variance) <= CHECK_RTOL * np.maximum(1.0, variance))
     if i is not None:
         raise NumericalBreakdown(f"minimum variance {float(variance[i])!r} vs {float(sigma2[i])!r}")
-    return m.to_original(x), m.mu1 - m.sigma1 * r.beta_C / (1.0 + r.gamma_C), np.sqrt(sigma2)
+    gmv = m.mu1 - m.sigma1 * r.beta_C / (1.0 + r.gamma_C)
+    # sigma(E)^2 = sigma_g^2 + k (E - gmv)^2, sigma_g^2 = sigma1^2/(1 + gamma_C): a sigma(E) - E
+    # is least at gmv + sigma_g/sqrt(k (a^2 k - 1)) if a^2 k > 1, and falls if not.
+    k = (1.0 + r.gamma_C) / det
+    rise = (1.0 + r.gamma_C) * k * (m.risk.a ** 2 * k - 1.0)
+    var_least = gmv + m.sigma1 / math.sqrt(rise) if rise > 0.0 else math.inf
+    return m.to_original(x), gmv, var_least, np.sqrt(sigma2)
 
 
 def _ray(m: ValidatedModel, r: ReducedModel, e_hat: float):

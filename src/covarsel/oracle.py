@@ -13,20 +13,19 @@ produced per call:
   The normals are streamed in fixed blocks: the pass counts the draws below a
   window around the quantile and keeps the few inside it, and the estimate
   and its bootstrap standard error are read from the sorted window;
-* band: draw joint returns with the covariance Cholesky factor, retain draws
-  with the conditioning asset inside a band around the stress level, and take
-  the same empirical quantile.  The conditioning asset sits first and the
-  factor is lower triangular, so its return depends on the first standard
-  normal coordinate alone: that coordinate is drawn for every sample, and the
-  other n - 1 only for the samples the band keeps.  Kept for diagnostics
-  since it carries discretization bias.
+* band: draw the conditioning asset's and the portfolio's returns jointly
+  from the covariance Cholesky factor, retain draws with the conditioning
+  asset inside a band around the stress level, and take the same empirical
+  quantile.  A draw takes one normal, two if kept, whatever n (see
+  ``_band_returns``).  Kept for diagnostics since it carries discretization
+  bias.
 
 Memory does not grow with the sample count beyond the window (at most
 ``_WINDOW_SDS * sqrt(samples)`` normals) and the band's kept returns (one
 double per kept draw): every other buffer is a fixed block.
 
 Randomness comes from a counter-based Philox generator, so results are
-bit-reproducible from the seed alone and independent of chunking.
+bit-reproducible from the seed alone.
 """
 
 from __future__ import annotations
@@ -39,15 +38,14 @@ import numpy as np
 from .errors import DimensionTooLarge, DomainError, TooFewBandSamples
 from .model import ValidatedModel, normal_quantile, standard_normal_cdf
 from .reduction import ReducedModel
-from .riskmeasures import _raw_rows, _stress_law
+from .riskmeasures import _budget_weights, _raw_rows, _stress_law
 
 BOOTSTRAP_REPS = 256
 MIN_BAND_KEPT = 100
-_BAND_CHUNK = 1 << 18
 # Most draws of one estimate.  Memory grows with it only through the window
 # and the band's kept returns (see the module docstring), so the cap bounds
-# run time: a 10**8-sample estimate took 5.2 s at n = 3 and 7.2 s at n = 50 on
-# a 2-CPU machine (numpy 2.4.6, one BLAS thread).
+# run time: a 10**8-sample estimate took 3.3 s at n = 3 and at n = 50 on a
+# 2-CPU machine (numpy 2.4.6, one BLAS thread).
 _MAX_SAMPLES = 10 ** 8
 # Normals drawn per numpy call, 256 KB: the size of every streamed buffer.
 # A block's draws take about 0.5 ms, against a few microseconds of per-call
@@ -63,11 +61,6 @@ _DRAW_BLOCK = 1 << 15
 # estimate for W = 10.  A miss costs one more pass, never a wrong result.  The
 # same W sizes the band's kept-return buffer above its Binomial mean.
 _WINDOW_SDS = 10.0
-# Row blocks of the band's kept rows start at multiples of this.  BLAS gemv
-# kernels take the rows of a product in small groups (four in OpenBLAS's
-# Haswell kernel) with a separate tail loop, so a row's dot product keeps its
-# bits only if its place in the group is the same as in the whole chunk.
-_ROW_ALIGN = 32
 
 
 @dataclass(frozen=True)
@@ -182,63 +175,47 @@ def _band_returns(m: ValidatedModel, xi: np.ndarray, mu_x: float, y_star: float,
     """Portfolio returns of the draws whose conditioning-asset return lies
     within ``eps`` of ``y_star``, in draw order.
 
-    With ``L = m.chol`` the lower-triangular factor of sigma, returns are
-    ``mu + L z`` and the conditioning asset's is ``mu_Y + L00 z0``.  Each
-    chunk draws ``z0`` for all its samples in blocks, masks the band on it and
-    appends the kept ``z0`` to the output, and then draws the other n - 1
-    coordinates for the kept rows only, in row blocks, turning each kept
-    ``z0`` in place into its row's portfolio return ``mu_x + z'(L'x)``, with
-    ``mu_x = mu'x``.
+    With ``L = m.chol`` the lower-triangular factor of sigma and ``l = L'x``,
+    the conditioning asset's return is ``mu_Y + L00 z0`` and the portfolio's
+    is ``mu_x + l0 z0 + l[1:]'z[1:]``, with ``mu_x = mu'x``.  The last term is
+    exactly ``|l[1:]| z1`` in law for one standard normal z1, so the pair
+    (Y, X) is drawn from two normals at any n.  One stream, ``base.jumped()``,
+    is read in blocks: each block draws z0 for its samples and masks the band
+    on it, then draws one z1 per kept draw, in draw order.
     """
-    low = m.chol
-    load = low.T @ xi
+    load = m.chol.T @ xi
+    spread = math.sqrt(float(load[1:] @ load[1:]))
     p = max(0.0, standard_normal_cdf((y_star + eps - m.mu1) / m.sigma1)
             - standard_normal_cdf((y_star - eps - m.mu1) / m.sigma1))
     out = np.empty(min(n_samp, math.ceil(
         n_samp * p + _WINDOW_SDS * math.sqrt(n_samp * p * (1.0 - p)))))
     n_kept = 0
+    rng = np.random.Generator(base.jumped())
     z0 = np.empty(_DRAW_BLOCK)
     dev = np.empty(_DRAW_BLOCK)
     inside = np.empty(_DRAW_BLOCK, dtype=bool)
-    rows = max(_ROW_ALIGN, _DRAW_BLOCK // (m.n - 1) // _ROW_ALIGN * _ROW_ALIGN)
-    # One spare row: a lone last row joins the block before it, since numpy
-    # forms a one-row product by another route than the many-row one.
-    rest = np.empty((rows + 1, m.n - 1))
-    # Chunk i reads its own jumped counter stream, z0 first and then the kept
-    # rows' other coordinates, so it is a fixed function of (seed, i): the work
-    # could be fanned out across the chunks without changing a single draw.
-    for chunk, start in enumerate(range(0, n_samp, _BAND_CHUNK)):
-        chunk_rng = np.random.Generator(base.jumped(chunk + 1))
-        first = n_kept
-        end = min(start + _BAND_CHUNK, n_samp)
-        for sub in range(start, end, _DRAW_BLOCK):
-            size = min(_DRAW_BLOCK, end - sub)
-            zb, d, in_b = z0[:size], dev[:size], inside[:size]
-            chunk_rng.standard_normal(out=zb)
-            np.multiply(zb, low[0, 0], out=d)
-            np.add(d, m.mu[0], out=d)
-            np.subtract(d, y_star, out=d)
-            np.abs(d, out=d)
-            np.less(d, eps, out=in_b)
-            k = int(np.count_nonzero(in_b))
-            if n_kept + k > out.shape[0]:
-                grown = np.empty(max(n_kept + k, 2 * out.shape[0]))
-                grown[:n_kept] = out[:n_kept]
-                out = grown
-            np.compress(in_b, zb, out=out[n_kept:n_kept + k])
-            n_kept += k
-        lo = first
-        while lo < n_kept:
-            hi = min(lo + rows, n_kept)
-            if n_kept - hi == 1:
-                hi = n_kept
-            block = rest[:hi - lo]
-            chunk_rng.standard_normal(out=block)
-            ret = out[lo:hi]
-            ret *= load[0]
-            ret += mu_x
-            ret += block @ load[1:]
-            lo = hi
+    for start in range(0, n_samp, _DRAW_BLOCK):
+        size = min(_DRAW_BLOCK, n_samp - start)
+        zb, d, in_b = z0[:size], dev[:size], inside[:size]
+        rng.standard_normal(out=zb)
+        np.multiply(zb, m.chol[0, 0], out=d)
+        np.add(d, m.mu[0], out=d)
+        np.subtract(d, y_star, out=d)
+        np.abs(d, out=d)
+        np.less(d, eps, out=in_b)
+        k = int(np.count_nonzero(in_b))
+        if n_kept + k > out.shape[0]:
+            grown = np.empty(max(n_kept + k, 2 * out.shape[0]))
+            grown[:n_kept] = out[:n_kept]
+            out = grown
+        ret, z1 = out[n_kept:n_kept + k], dev[:k]
+        np.compress(in_b, zb, out=ret)
+        rng.standard_normal(out=z1)
+        ret *= load[0]
+        ret += mu_x
+        z1 *= spread
+        ret += z1
+        n_kept += k
     return out[:n_kept]
 
 
@@ -246,11 +223,12 @@ def mc_covar(m: ValidatedModel, x, cfg: McConfig) -> McEstimate:
     """Monte-Carlo estimate of the conditional value-at-risk of portfolio x.
 
     Returns the exact-conditional estimate with its bootstrap standard error,
-    plus the band estimate for diagnostics.  Raises TooFewBandSamples when
+    plus the band estimate for diagnostics.  Raises DomainError when x does
+    not sum to 1, as ``covar_portfolio`` does, and TooFewBandSamples when
     fewer than MIN_BAND_KEPT of the draws lie at or below the beta-quantile,
     or when the band retains fewer than MIN_BAND_KEPT draws.
     """
-    xi = m.to_internal(x)
+    xi = _budget_weights(m, x)
     beta_level = m.risk.beta_level
     tail_draws = math.ceil(beta_level * cfg.samples)
     if tail_draws < MIN_BAND_KEPT:

@@ -115,16 +115,22 @@ def _covar_rows(m: ValidatedModel, r: ReducedModel, coeffs: np.ndarray, basis: n
     return expected, sigma, rho, value
 
 
+def _budget_weights(m: ValidatedModel, x) -> np.ndarray:
+    """A caller's weights in internal order, checked to sum to 1."""
+    xi = m.to_internal(x)
+    total = float(xi.sum())
+    if not abs(total - 1.0) <= WEIGHT_SUM_TOL * max(1.0, abs(total)):
+        raise DomainError(f"portfolio weights sum to {total!r}, expected 1")
+    return xi
+
+
 def covar_portfolio(m: ValidatedModel, r: ReducedModel, x) -> PortfolioReport:
     """Full risk report for a budget-feasible portfolio, cross-checked.
 
     The reduced-route value is returned; the conditional law from sigma is
     evaluated as well and the two must match (see ``_covar_rows``).
     """
-    xi = m.to_internal(x)
-    total = float(xi.sum())
-    if not abs(total - 1.0) <= WEIGHT_SUM_TOL * max(1.0, abs(total)):
-        raise DomainError(f"portfolio weights sum to {total!r}, expected 1")
+    xi = _budget_weights(m, x)
     expected, sigma, rho, value = (float(v[0])
                                    for v in _covar_rows(m, r, np.ones((1, 1)), xi[None, :]))
     return PortfolioReport(E=expected, sigma=sigma, var_alpha=-expected + m.risk.a * sigma,

@@ -6,7 +6,7 @@ import numpy as np
 
 from covarsel import (MarketModel, McEstimate, RiskParams, TooFewBandSamples, reduce_model,
                       validate_model)
-from covarsel.oracle import _BAND_CHUNK, BOOTSTRAP_REPS, MIN_BAND_KEPT, _quantile_rank
+from covarsel.oracle import _DRAW_BLOCK, BOOTSTRAP_REPS, MIN_BAND_KEPT, _quantile_rank
 
 
 def random_model(rng, n=None, a=None, b=None, conditioning_asset=None):
@@ -166,17 +166,16 @@ def _bootstrap_se(sorted_sample, rank, rng):
 
 
 def full_chunk_band_returns(m, xi, mu_x, y_star, eps, base, n_samp):
-    """Band returns with each chunk's draws held whole: all of its z0, then
-    one (kept, n - 1) block of the other coordinates."""
-    low = m.chol
-    load = low.T @ xi
+    """Band returns with each block's draws held whole: all of its z0, then
+    one z1 per kept draw, read from the one stream ``base.jumped()``."""
+    load = m.chol.T @ xi
+    spread = math.sqrt(float(load[1:] @ load[1:]))
+    rng = np.random.Generator(base.jumped())
     kept = []
-    for chunk, start in enumerate(range(0, n_samp, _BAND_CHUNK)):
-        chunk_rng = np.random.Generator(base.jumped(chunk + 1))
-        z0 = chunk_rng.standard_normal(min(_BAND_CHUNK, n_samp - start))
-        z0 = z0[np.abs(m.mu[0] + low[0, 0] * z0 - y_star) < eps]
-        rest = chunk_rng.standard_normal((z0.shape[0], m.n - 1))
-        kept.append(mu_x + z0 * load[0] + rest @ load[1:])
+    for start in range(0, n_samp, _DRAW_BLOCK):
+        z0 = rng.standard_normal(min(_DRAW_BLOCK, n_samp - start))
+        z0 = z0[np.abs(m.mu[0] + m.chol[0, 0] * z0 - y_star) < eps]
+        kept.append(mu_x + z0 * load[0] + spread * rng.standard_normal(z0.shape[0]))
     return np.concatenate(kept)
 
 

@@ -13,7 +13,7 @@ from covarsel import (EfficiencyClass, LemmaParams, NumericalBreakdown,
                       PreconditionViolated, ReducedModel, RiskParams, SolveStatus,
                       covar_portfolio, classify_efficiency, frontier,
                       lemma_minimize, markowitz_frontier, reduce_model,
-                      solve_critical, validate_model, MarketModel)
+                      solvability_status, solve_critical, validate_model, MarketModel)
 from covarsel.closedform import (CONSTRAINT_TOL, MIN_RISK_E_HAT, Frontier, FrontierPoint, _basis,
                                  _closed_form, _recheck, _rows, is_efficient)
 from covarsel.riskmeasures import _covar_rows, _gram_rows, _raw_rows
@@ -228,6 +228,29 @@ class TestSolveCritical:
         assert abs(vals[-1] - sol.value) < abs(vals[0] - sol.value)
         assert vals[-1] == pytest.approx(sol.value, abs=1e-3)
 
+    def test_delta_tolerance_splits_the_knife_edge(self):
+        """b = u a sqrt(detG / alpha_C) puts Delta at (u^2 - 1) a^2 detG.  A
+        relative Delta of 2e-9 has a sign; one of 2e-14 is rounding noise in
+        b^2 alpha_C - a^2 detG and reads as Delta = 0."""
+        rng = np.random.default_rng(14)
+        statuses = {u: set() for u in (1 - 1e-9, 1 + 1e-9, 1 - 1e-14, 1 + 1e-14)}
+        drawn = 0
+        while drawn < 200:
+            m0, r0 = random_model(rng, b=1.0)
+            if not r0.independent or r0.detG <= 0.0:
+                continue
+            drawn += 1
+            knife = m0.risk.a * math.sqrt(r0.detG / r0.alpha_C)
+            for u, seen in statuses.items():
+                m = validate_model(MarketModel(mu=m0.to_original(m0.mu),
+                                               sigma=m0.sigma[np.ix_(m0.inv_perm, m0.inv_perm)],
+                                               conditioning_asset=int(m0.perm[0]) + 1,
+                                               risk=RiskParams(a=m0.risk.a, b=knife * u)))
+                seen.add(solvability_status(reduce_model(m)))
+        assert statuses[1 - 1e-9] == {SolveStatus.UNBOUNDED_BELOW}
+        assert statuses[1 + 1e-9] == {SolveStatus.UNIQUE}
+        assert statuses[1 - 1e-14] == statuses[1 + 1e-14] == {SolveStatus.INFIMUM_NOT_ATTAINED}
+
 
 def _reduced_stub(a, b, alpha_c, beta_c, gamma_c):
     det_g = alpha_c * gamma_c - beta_c ** 2
@@ -333,7 +356,7 @@ class TestMarkowitz:
                                            conditioning_asset=int(rng.integers(1, n + 1)),
                                            risk=RiskParams(a=1.0, b=1.5)))
             targets = rng.uniform(mu.min() - 1.0, mu.max() + 1.0, size=7)
-            weights, gmv, vol = markowitz_frontier(m, reduce_model(m), targets)
+            weights, gmv, _, vol = markowitz_frontier(m, reduce_model(m), targets)
             exact = np.sqrt(np.einsum("ij,jk,ik->i", weights, sigma, weights))
             assert np.max(np.abs(vol - exact) / exact) <= 1e-12
             si_mu, si_one = np.linalg.solve(sigma, np.column_stack((mu, np.ones(n)))).T
@@ -622,7 +645,7 @@ class TestDependentMarkets:
             assert not r.independent
             span = float(np.ptp(m.mu))
             pts = frontier(m, r, m.mu1 - span, m.mu1 + span, 41)
-            ref, _, _ = markowitz_frontier(m, r, [p.E for p in pts])
+            ref, _, _, _ = markowitz_frontier(m, r, [p.E for p in pts])
             assert np.max(np.abs(np.array([p.weights for p in pts]) - ref)) <= 1e-12
             assert all(p.status == SolveStatus.MARKOWITZ_FALLBACK.value for p in pts)
             sol = solve_critical(m, r, pts[7].E)

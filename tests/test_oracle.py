@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,20 +9,19 @@ from covarsel import (DimensionTooLarge, DomainError, MarketModel, McConfig, Ris
                       reduce_model, validate_model)
 from covarsel import oracle
 from covarsel.model import standard_normal_cdf
-from covarsel.oracle import _BAND_CHUNK, _DRAW_BLOCK, _ROW_ALIGN, _band_returns
-from helpers import full_chunk_band_returns, full_array_mc_covar, random_model
+from covarsel.oracle import _DRAW_BLOCK, _band_returns
+from helpers import full_array_mc_covar, random_model
 
 
 def full_block_band(m, xi, y_star, eps, seed, samples):
-    """Reference: the band draw the conditioning-first one replaced.  Every
-    sample gets all n coordinates and is multiplied by the Cholesky factor;
-    the band is applied to the finished returns."""
-    base = np.random.Philox(seed)
+    """Reference: the band draw that conditions joint draws of all n assets.
+    Every sample gets all n coordinates and is multiplied by the Cholesky
+    factor; the band is applied to the finished returns."""
+    rng = np.random.Generator(np.random.Philox(seed))
     low = np.linalg.cholesky(m.sigma)
     kept = []
-    for chunk, start in enumerate(range(0, samples, _BAND_CHUNK)):
-        rng = np.random.Generator(base.jumped(chunk + 1))
-        z = rng.standard_normal((min(_BAND_CHUNK, samples - start), m.n))
+    for start in range(0, samples, _DRAW_BLOCK):
+        z = rng.standard_normal((min(_DRAW_BLOCK, samples - start), m.n))
         returns = m.mu + z @ low.T
         kept.append(returns[np.abs(returns[:, 0] - y_star) < eps] @ xi)
     return np.concatenate(kept)
@@ -134,6 +134,16 @@ class TestMcCovar:
                      McConfig(samples=10_000, seed=0, band_epsilon=1e-8))
 
 
+    @pytest.mark.parametrize("x", [[0.0, 0.0, 0.0], [0.5, 0.5, 0.5]])
+    def test_weights_off_the_budget(self, example2, x):
+        """Weights that do not sum to 1 are refused as ``covar_portfolio``
+        refuses them, before any draw and without a warning."""
+        m, _ = example2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="sum to"):
+                mc_covar(m, np.array(x), McConfig(samples=10_000, seed=0))
+
     def test_quantile_beyond_the_sample(self, example2):
         # b = 8 puts the beta-quantile at Phi(-8) ~ 6e-16: no draw of 1e6 is
         # beyond it, so the order statistic would be meaningless.
@@ -147,7 +157,8 @@ class TestMcCovar:
 
 class TestBandDraw:
     """The band draws the conditioning asset's coordinate for every sample and
-    the other n - 1 only for the samples it keeps."""
+    one more normal, for the portfolio's other n - 1 coordinates, for each
+    sample it keeps."""
 
     @pytest.mark.parametrize("n", [3, 10, 50])
     def test_kept_count_is_binomial(self, n):
@@ -158,7 +169,7 @@ class TestBandDraw:
              - standard_normal_cdf((y_star - eps - m.mu1) / m.sigma1))
         assert abs(est.band_kept - samples * p) <= 5.0 * math.sqrt(samples * p * (1.0 - p))
 
-    @pytest.mark.parametrize("n", [3, 10])
+    @pytest.mark.parametrize("n", [2, 3, 10, 50])
     def test_same_distribution_as_full_block_draw(self, n):
         from scipy.stats import ks_2samp
         m, xi, y_star, eps = band_setup(200 + n, n)
@@ -172,15 +183,15 @@ class TestBandDraw:
     def test_reproducible_across_partial_chunk(self, example3):
         m, _ = example3
         x = np.array([0.2, 0.5, 0.3])
-        cfg = McConfig(samples=int(2.5 * _BAND_CHUNK), seed=9)
+        samples = 20 * _DRAW_BLOCK + _DRAW_BLOCK // 2
+        cfg = McConfig(samples=samples, seed=9)
         assert mc_covar(m, x, cfg) == mc_covar(m, x, cfg)
-        # each chunk is a fixed function of (seed, chunk): dropping the
-        # partial third chunk leaves the first two unchanged
+        # the stream is read block by block: dropping the partial last block
+        # leaves the draws of the whole blocks before it unchanged
         xi, y_star, eps = m.to_internal(x), m.mu1 - m.risk.a * m.sigma1, 0.05 * m.sigma1
         mu_x = float(xi @ m.mu)
-        full = _band_returns(m, xi, mu_x, y_star, eps, np.random.Philox(9),
-                             int(2.5 * _BAND_CHUNK))
-        head = _band_returns(m, xi, mu_x, y_star, eps, np.random.Philox(9), 2 * _BAND_CHUNK)
+        full = _band_returns(m, xi, mu_x, y_star, eps, np.random.Philox(9), samples)
+        head = _band_returns(m, xi, mu_x, y_star, eps, np.random.Philox(9), 20 * _DRAW_BLOCK)
         assert np.array_equal(full[:head.shape[0]], head)
 
     def test_exact_stage_reads_the_base_stream(self):
@@ -239,23 +250,6 @@ class TestBandDraw:
         if wide:
             assert est.band_kept == samples
         assert peak <= 3_000_000 + (8 * est.band_kept if wide else 0), peak
-
-    def test_row_blocks_keep_the_bits(self):
-        """Kept rows draw their other coordinates in row blocks; a lone last
-        row joins the block before it.  The band keeps the bits of one
-        product per chunk at kept counts around the block boundaries."""
-        m, xi, y_star, _ = band_setup(8, 48)
-        rows = _DRAW_BLOCK // 47 // _ROW_ALIGN * _ROW_ALIGN
-        seed, samples = 4, _BAND_CHUNK
-        z0 = np.random.Generator(np.random.Philox(seed).jumped(1)).standard_normal(samples)
-        dev = np.sort(np.abs(m.mu[0] + m.chol[0, 0] * z0 - y_star))
-        for kept in (1, 2, rows - 1, rows, rows + 1, 3 * rows, 3 * rows + 1, 3 * rows + 2):
-            eps = 0.5 * (dev[kept - 1] + dev[kept])
-            args = (m, xi, float(xi @ m.mu), y_star, eps)
-            new = _band_returns(*args, np.random.Philox(seed), samples)
-            ref = full_chunk_band_returns(*args, np.random.Philox(seed), samples)
-            assert new.shape[0] == kept
-            assert np.array_equal(new, ref), kept
 
 
 class TestGridMinimize:
