@@ -30,7 +30,7 @@ def main():
 
     rng = np.random.default_rng(args.seed)
     print(f"{'market':<10} {'portfolio':<28} {'closed':>12} {'mc':>12} "
-          f"{'se':>10} {'z':>7} {'band':>12}")
+          f"{'se':>10} {'z':>7}")
     worst = 0.0
     for name in FIXTURES:
         scenario = load_scenario(str(ROOT / "scenarios" / f"{name}.json"))
@@ -44,7 +44,7 @@ def main():
             worst = max(worst, abs(z))
             label = "(" + ", ".join(f"{w:.3f}" for w in x) + ")"
             print(f"{name:<10} {label:<28} {closed:>12.6f} {est.estimate:>12.6f} "
-                  f"{est.std_error:>10.2e} {z:>7.2f} {est.band_estimate:>12.6f}")
+                  f"{est.std_error:>10.2e} {z:>7.2f}")
     print(f"\nworst |z| = {worst:.2f} over "
           f"{args.portfolios * len(FIXTURES)} portfolios at {args.samples} samples")
 

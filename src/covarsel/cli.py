@@ -294,8 +294,6 @@ def cmd_validate(scenario: Scenario, weights, cfg: McConfig, fmt, out) -> int:
         "mc_estimate": est.estimate,
         "mc_std_error": est.std_error,
         "z_score": z,
-        "band_estimate": est.band_estimate,
-        "band_kept": est.band_kept,
         "samples": cfg.samples,
         "seed": cfg.seed,
     }
@@ -341,7 +339,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="comma-separated portfolio weights (default: equal weights)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--samples", type=int, default=1_000_000)
-    p.add_argument("--band-eps", type=float, default=None)
     return parser
 
 
@@ -381,7 +378,7 @@ def main(argv=None) -> int:
                 raise ScenarioError(f"--weights: {exc}") from exc
         else:
             weights = np.full(scenario.model.n, 1.0 / scenario.model.n)
-        cfg = McConfig(samples=args.samples, seed=args.seed, band_epsilon=args.band_eps)
+        cfg = McConfig(samples=args.samples, seed=args.seed)
         return cmd_validate(scenario, weights, cfg, args.format, out)
     except (NumericalBreakdown, NoConvergence) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -47,8 +47,7 @@ class DimensionTooLarge(CovarselError):
 
 
 class TooFewBandSamples(CovarselError):
-    """Too few Monte-Carlo draws to read the quantile: the conditioning band
-    retained too few, or too few lie beyond the beta-quantile."""
+    """Too few Monte-Carlo draws lie at or below the beta-quantile to read it."""
 
 
 class ScenarioError(CovarselError):

@@ -1,28 +1,20 @@
 """Independent verification: Monte-Carlo estimation and brute-force grids.
 
 The Monte-Carlo estimator never touches the analytic risk formulas beyond the
-definition itself: it simulates returns, conditions on the stress level of the
-conditioning asset and reads off an empirical quantile.  Two estimators are
-produced per call:
-
-* exact-conditional: draw from the portfolio return's law given the stress
-  event, a probability-zero event conditioned on analytically by the risk
-  check's ``_stress_law``, and negate the empirical beta-quantile.
-  The draws are ``cond_mean + scale * z``, monotone in the standard normal z,
-  so the order statistics of the draws are the mapped order statistics of z.
-  The normals are streamed in fixed blocks: the pass counts the draws below a
-  window around the quantile and keeps the few inside it, and the estimate
-  and its bootstrap standard error are read from the sorted window;
-* band: draw the conditioning asset's and the portfolio's returns jointly
-  from the covariance Cholesky factor, retain draws with the conditioning
-  asset inside a band around the stress level, and take the same empirical
-  quantile.  A draw takes one normal, two if kept, whatever n (see
-  ``_band_returns``).  Kept for diagnostics since it carries discretization
-  bias.
+definition itself: it samples the portfolio return given the stress level of
+the conditioning asset and reads off an empirical quantile.  With ``L`` the
+lower Cholesky factor of sigma and ``l = L'x``, the pair (Y, X) is
+``(mu_Y + L00 z0, mu'x + l0 z0 + |l[1:]| z1)`` in law for two independent
+standard normals, and the stress event Y = y* is exactly z0 = -a.  So the
+draws are ``cond_mean + scale * z1`` with ``cond_mean = mu'x - a l0`` and
+``scale = |l[1:]|`` (``_pair_law``), monotone in z1, and the order
+statistics of the draws are the mapped order statistics of z1.  The normals
+are streamed in fixed blocks: the pass counts the draws below a window
+around the quantile and keeps the few inside it, and the estimate and its
+bootstrap standard error are read from the sorted window.
 
 Memory does not grow with the sample count beyond the window (at most
-``_WINDOW_SDS * sqrt(samples)`` normals) and the band's kept returns (one
-double per kept draw): every other buffer is a fixed block.
+``_WINDOW_SDS * sqrt(samples)`` normals): every other buffer is a fixed block.
 
 Randomness comes from a counter-based Philox generator, so results are
 bit-reproducible from the seed alone.
@@ -36,16 +28,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionTooLarge, DomainError, TooFewBandSamples
-from .model import ValidatedModel, normal_quantile, standard_normal_cdf
+from .model import ValidatedModel, normal_quantile
 from .reduction import ReducedModel
-from .riskmeasures import _budget_weights, _raw_rows, _stress_law
+from .riskmeasures import _budget_weights, _raw_rows
 
 BOOTSTRAP_REPS = 256
-MIN_BAND_KEPT = 100
+MIN_TAIL_DRAWS = 100
 # Most draws of one estimate.  Memory grows with it only through the window
-# and the band's kept returns (see the module docstring), so the cap bounds
-# run time: a 10**8-sample estimate took 3.3 s at n = 3 and at n = 50 on a
-# 2-CPU machine (numpy 2.4.6, one BLAS thread).
+# (see the module docstring), so the cap bounds run time: a 10**8-sample
+# estimate took 2.0 s at n = 3 and at n = 50 on a 2-CPU machine (numpy 2.4.6,
+# one BLAS thread).
 _MAX_SAMPLES = 10 ** 8
 # Normals drawn per numpy call, 256 KB: the size of every streamed buffer.
 # A block's draws take about 0.5 ms, against a few microseconds of per-call
@@ -58,20 +50,17 @@ _DRAW_BLOCK = 1 << 15
 # edge placed W sd from that rank is Binomial with spread at most sd.  A rank
 # escapes only if the two independent deviations add up to W sd, about
 # Phi(-W / sqrt 2) per rank and edge: at most 514 Phi(-7.07) < 4e-10 per
-# estimate for W = 10.  A miss costs one more pass, never a wrong result.  The
-# same W sizes the band's kept-return buffer above its Binomial mean.
+# estimate for W = 10.  A miss costs one more pass, never a wrong result.
 _WINDOW_SDS = 10.0
 
 
 @dataclass(frozen=True)
 class McConfig:
     """samples >= 10**4 so quantiles are estimable, and <= 10**8 to bound the
-    time one estimate takes; band_epsilon defaults to 0.05 sigma_Y,
-    balancing band bias against retention."""
+    time one estimate takes."""
 
     samples: int = 1_000_000
     seed: int = 0
-    band_epsilon: float | None = None
 
     def __post_init__(self):
         for name in ("samples", "seed"):
@@ -84,18 +73,12 @@ class McConfig:
             raise DomainError(f"need at most {_MAX_SAMPLES} samples, got {self.samples}")
         if self.seed < 0:
             raise DomainError(f"seed must be non-negative, got {self.seed}")
-        eps = self.band_epsilon
-        if eps is not None and not (isinstance(eps, (int, float)) and not isinstance(eps, bool)
-                                    and math.isfinite(eps) and eps > 0.0):
-            raise DomainError(f"band_epsilon must be positive and finite, got {eps!r}")
 
 
 @dataclass(frozen=True)
 class McEstimate:
     estimate: float
     std_error: float
-    band_estimate: float | None
-    band_kept: int
 
 
 def _quantile_rank(level: float, n: int) -> int:
@@ -170,99 +153,39 @@ def _normal_order_stats(base: np.random.Philox, n: int, rank: int,
         half = 2.0 * half + sd
 
 
-def _band_returns(m: ValidatedModel, xi: np.ndarray, mu_x: float, y_star: float,
-                  eps: float, base: np.random.Philox, n_samp: int) -> np.ndarray:
-    """Portfolio returns of the draws whose conditioning-asset return lies
-    within ``eps`` of ``y_star``, in draw order.
-
-    With ``L = m.chol`` the lower-triangular factor of sigma and ``l = L'x``,
-    the conditioning asset's return is ``mu_Y + L00 z0`` and the portfolio's
-    is ``mu_x + l0 z0 + l[1:]'z[1:]``, with ``mu_x = mu'x``.  The last term is
-    exactly ``|l[1:]| z1`` in law for one standard normal z1, so the pair
-    (Y, X) is drawn from two normals at any n.  One stream, ``base.jumped()``,
-    is read in blocks: each block draws z0 for its samples and masks the band
-    on it, then draws one z1 per kept draw, in draw order.
-    """
+def _pair_law(m: ValidatedModel, xi: np.ndarray) -> tuple[float, float]:
+    """``(cond_mean, scale)`` of X = x'R given Y = y*, read off the Cholesky
+    pair: with ``l = L'x``, X given z0 = -a is ``mu'x - a l0 + |l[1:]| z1``."""
     load = m.chol.T @ xi
-    spread = math.sqrt(float(load[1:] @ load[1:]))
-    p = max(0.0, standard_normal_cdf((y_star + eps - m.mu1) / m.sigma1)
-            - standard_normal_cdf((y_star - eps - m.mu1) / m.sigma1))
-    out = np.empty(min(n_samp, math.ceil(
-        n_samp * p + _WINDOW_SDS * math.sqrt(n_samp * p * (1.0 - p)))))
-    n_kept = 0
-    rng = np.random.Generator(base.jumped())
-    z0 = np.empty(_DRAW_BLOCK)
-    dev = np.empty(_DRAW_BLOCK)
-    inside = np.empty(_DRAW_BLOCK, dtype=bool)
-    for start in range(0, n_samp, _DRAW_BLOCK):
-        size = min(_DRAW_BLOCK, n_samp - start)
-        zb, d, in_b = z0[:size], dev[:size], inside[:size]
-        rng.standard_normal(out=zb)
-        np.multiply(zb, m.chol[0, 0], out=d)
-        np.add(d, m.mu[0], out=d)
-        np.subtract(d, y_star, out=d)
-        np.abs(d, out=d)
-        np.less(d, eps, out=in_b)
-        k = int(np.count_nonzero(in_b))
-        if n_kept + k > out.shape[0]:
-            grown = np.empty(max(n_kept + k, 2 * out.shape[0]))
-            grown[:n_kept] = out[:n_kept]
-            out = grown
-        ret, z1 = out[n_kept:n_kept + k], dev[:k]
-        np.compress(in_b, zb, out=ret)
-        rng.standard_normal(out=z1)
-        ret *= load[0]
-        ret += mu_x
-        z1 *= spread
-        ret += z1
-        n_kept += k
-    return out[:n_kept]
+    return (float(xi @ m.mu) - m.risk.a * float(load[0]),
+            math.sqrt(float(load[1:] @ load[1:])))
 
 
 def mc_covar(m: ValidatedModel, x, cfg: McConfig) -> McEstimate:
     """Monte-Carlo estimate of the conditional value-at-risk of portfolio x.
 
-    Returns the exact-conditional estimate with its bootstrap standard error,
-    plus the band estimate for diagnostics.  Raises DomainError when x does
-    not sum to 1, as ``covar_portfolio`` does, and TooFewBandSamples when
-    fewer than MIN_BAND_KEPT of the draws lie at or below the beta-quantile,
-    or when the band retains fewer than MIN_BAND_KEPT draws.
+    Returns the negated empirical beta-quantile of ``cfg.samples`` draws from
+    the pair law with its bootstrap standard error.  Raises DomainError when
+    x does not sum to 1, as ``covar_portfolio`` does, and TooFewBandSamples
+    when fewer than MIN_TAIL_DRAWS of the draws lie at or below the
+    beta-quantile.
     """
     xi = _budget_weights(m, x)
     beta_level = m.risk.beta_level
     tail_draws = math.ceil(beta_level * cfg.samples)
-    if tail_draws < MIN_BAND_KEPT:
+    if tail_draws < MIN_TAIL_DRAWS:
         raise TooFewBandSamples(
             f"beta = {beta_level:.3e} leaves {tail_draws} of {cfg.samples} draws at or "
-            f"below the quantile (< {MIN_BAND_KEPT}); use more samples or a smaller b")
+            f"below the quantile (< {MIN_TAIL_DRAWS}); use more samples or a smaller b")
 
-    mu_x, sigma_x, _, cond_mean, cond_var = (
-        float(v[0]) for v in _stress_law(m, np.ones((1, 1)), xi[None, :]))
-    y_star = m.mu1 - m.risk.a * m.sigma1
-
-    base = np.random.Philox(cfg.seed)
-    n_samp = cfg.samples
-    rank = _quantile_rank(beta_level, n_samp)
-
-    if cond_var <= 1e-24 * max(1.0, sigma_x * sigma_x):
-        estimate = -cond_mean
-        std_error = 0.0
-    else:
-        z_rank, z_boot = _normal_order_stats(base, n_samp, rank, beta_level)
-        scale = math.sqrt(cond_var)
-        estimate = -float(cond_mean + scale * z_rank)
-        std_error = float(np.std(cond_mean + scale * z_boot, ddof=1))
-
-    eps = cfg.band_epsilon if cfg.band_epsilon is not None else 0.05 * m.sigma1
-    kept = _band_returns(m, xi, mu_x, y_star, eps, base, n_samp)
-    if kept.shape[0] < MIN_BAND_KEPT:
-        raise TooFewBandSamples(
-            f"band of half-width {eps!r} retained {kept.shape[0]} draws (< {MIN_BAND_KEPT})")
-    band_rank = _quantile_rank(beta_level, kept.shape[0])
-    kept.partition(band_rank - 1)
-    band_estimate = -float(kept[band_rank - 1])
-    return McEstimate(estimate=estimate, std_error=std_error,
-                      band_estimate=band_estimate, band_kept=int(kept.shape[0]))
+    cond_mean, scale = _pair_law(m, xi)
+    if scale * scale <= 1e-24 * max(1.0, float(xi @ m.sigma @ xi)):
+        return McEstimate(estimate=-cond_mean, std_error=0.0)
+    rank = _quantile_rank(beta_level, cfg.samples)
+    z_rank, z_boot = _normal_order_stats(np.random.Philox(cfg.seed), cfg.samples, rank,
+                                         beta_level)
+    return McEstimate(estimate=-float(cond_mean + scale * z_rank),
+                      std_error=float(np.std(cond_mean + scale * z_boot, ddof=1)))
 
 
 def _axis(resolution: float, lo: float, hi: float) -> np.ndarray:

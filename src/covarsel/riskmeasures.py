@@ -4,7 +4,7 @@ Under joint normality the risk of x is ``-E[X | Y = y*] + b sd[X | Y = y*]``
 for X = x'R, Y the conditioning asset and ``y* = mu_Y - a sigma_Y``.  Two
 routes give it: the reduced form ``-x'mu + a x'q + b sqrt(x'Qx)``, and the
 conditional normal law of X given Y = y* read from ``mu`` and ``sigma`` alone
-(``_stress_law``, which the Monte-Carlo oracle samples too).
+(``_stress_law``; the Monte-Carlo oracle reads it off the Cholesky factor).
 ``covar_portfolio`` raises if they disagree, so a wrong ``q`` or ``Q`` fails
 it.  Rows are taken as combinations ``coeffs @ basis`` of a few basis vectors,
 with every quadratic read off the basis' Gram matrices, so the closed-form

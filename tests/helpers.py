@@ -6,7 +6,7 @@ import numpy as np
 
 from covarsel import (MarketModel, McEstimate, RiskParams, TooFewBandSamples, reduce_model,
                       validate_model)
-from covarsel.oracle import _DRAW_BLOCK, BOOTSTRAP_REPS, MIN_BAND_KEPT, _quantile_rank
+from covarsel.oracle import BOOTSTRAP_REPS, MIN_TAIL_DRAWS, _quantile_rank
 
 
 def random_model(rng, n=None, a=None, b=None, conditioning_asset=None):
@@ -165,52 +165,23 @@ def _bootstrap_se(sorted_sample, rank, rng):
     return float(np.std(sorted_sample[idx], ddof=1))
 
 
-def full_chunk_band_returns(m, xi, mu_x, y_star, eps, base, n_samp):
-    """Band returns with each block's draws held whole: all of its z0, then
-    one z1 per kept draw, read from the one stream ``base.jumped()``."""
-    load = m.chol.T @ xi
-    spread = math.sqrt(float(load[1:] @ load[1:]))
-    rng = np.random.Generator(base.jumped())
-    kept = []
-    for start in range(0, n_samp, _DRAW_BLOCK):
-        z0 = rng.standard_normal(min(_DRAW_BLOCK, n_samp - start))
-        z0 = z0[np.abs(m.mu[0] + m.chol[0, 0] * z0 - y_star) < eps]
-        kept.append(mu_x + z0 * load[0] + spread * rng.standard_normal(z0.shape[0]))
-    return np.concatenate(kept)
-
-
 def full_array_mc_covar(m, x, cfg):
     """Reference Monte-Carlo estimator that holds every draw: it forms all
-    ``samples`` exact-conditional draws, sorts them and bootstraps the sorted
-    array, then sorts the band's returns.  ``mc_covar`` must match it bit for
+    ``samples`` draws from the Cholesky pair's law given z0 = -a, sorts them
+    and bootstraps the sorted array.  ``mc_covar`` must match it bit for
     bit."""
     xi = m.to_internal(x)
     beta_level = m.risk.beta_level
-    if math.ceil(beta_level * cfg.samples) < MIN_BAND_KEPT:
+    if math.ceil(beta_level * cfg.samples) < MIN_TAIL_DRAWS:
         raise TooFewBandSamples("too few draws below the quantile")
-    mu_x = float(xi @ m.mu)
-    sigma_x = math.sqrt(max(0.0, float(xi @ m.sigma @ xi)))
-    rho = min(1.0, max(-1.0, float(xi @ m.sigma[:, 0]) / (sigma_x * m.sigma1)))
-    y_star = m.mu1 - m.risk.a * m.sigma1
-    cond_mean = mu_x + rho * sigma_x / m.sigma1 * (y_star - m.mu1)
-    cond_var = max(0.0, sigma_x * sigma_x * (1.0 - rho * rho))
-
-    base = np.random.Philox(cfg.seed)
-    rng = np.random.Generator(base)
+    load = m.chol.T @ xi
+    cond_mean = float(xi @ m.mu) - m.risk.a * float(load[0])
+    scale = math.sqrt(float(load[1:] @ load[1:]))
+    if scale * scale <= 1e-24 * max(1.0, float(xi @ m.sigma @ xi)):
+        return McEstimate(estimate=-cond_mean, std_error=0.0)
+    rng = np.random.Generator(np.random.Philox(cfg.seed))
     rank = _quantile_rank(beta_level, cfg.samples)
-    if cond_var <= 1e-24 * max(1.0, sigma_x * sigma_x):
-        estimate, std_error = -cond_mean, 0.0
-    else:
-        draws = cond_mean + math.sqrt(cond_var) * rng.standard_normal(cfg.samples)
-        draws.sort()
-        estimate = -float(draws[rank - 1])
-        std_error = _bootstrap_se(draws, rank, rng)
-
-    eps = cfg.band_epsilon if cfg.band_epsilon is not None else 0.05 * m.sigma1
-    kept = full_chunk_band_returns(m, xi, mu_x, y_star, eps, base, cfg.samples)
-    if kept.shape[0] < MIN_BAND_KEPT:
-        raise TooFewBandSamples("too few band draws")
-    kept.sort()
-    band_estimate = -float(kept[_quantile_rank(beta_level, kept.shape[0]) - 1])
-    return McEstimate(estimate=estimate, std_error=std_error,
-                      band_estimate=band_estimate, band_kept=int(kept.shape[0]))
+    draws = cond_mean + scale * rng.standard_normal(cfg.samples)
+    draws.sort()
+    return McEstimate(estimate=-float(draws[rank - 1]),
+                      std_error=_bootstrap_se(draws, rank, rng))

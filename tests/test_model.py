@@ -115,6 +115,31 @@ class TestValidateModel:
             validate_model(MarketModel(mu=[1.0, 2.0, 3.0], sigma=sigma,
                                        conditioning_asset=1, risk=RiskParams(a=1, b=1)))
 
+    @pytest.mark.parametrize("skew,valid", [(2e-9, False), (2e-13, True)])
+    def test_symmetry_tolerance(self, skew, valid):
+        """An asymmetry of 1e-9 of the largest entry is refused, one of
+        1e-13 is rounding and accepted."""
+        sigma = np.array([[1.0, 0.3, 0.1], [0.3, 2.0, 0.2], [0.1, 0.2, 1.5]])
+        sigma[0, 1] += skew
+        market = MarketModel(mu=[1.0, 2.0, 3.0], sigma=sigma, conditioning_asset=1,
+                             risk=RiskParams(a=1, b=1))
+        if valid:
+            assert validate_model(market).n == 3
+        else:
+            with pytest.raises(NotPositiveDefinite, match="symmetric"):
+                validate_model(market)
+
+    @pytest.mark.parametrize("spread,valid", [(1e-14, False), (1e-10, True)])
+    def test_return_spread_tolerance(self, spread, valid):
+        """Returns of 1 that differ by 1e-14 count as equal, by 1e-10 not."""
+        market = MarketModel(mu=[1.0, 1.0 + spread, 1.0], sigma=np.eye(3),
+                             conditioning_asset=1, risk=RiskParams(a=1, b=1))
+        if valid:
+            assert validate_model(market).n == 3
+        else:
+            with pytest.raises(MuParallelToOnes):
+                validate_model(market)
+
     @pytest.mark.parametrize("cond", [0, 4, -1])
     def test_conditioning_index_range(self, cond):
         with pytest.raises(DimensionMismatch):

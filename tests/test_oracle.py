@@ -8,56 +8,31 @@ from covarsel import (DimensionTooLarge, DomainError, MarketModel, McConfig, Ris
                       TooFewBandSamples, covar_portfolio, grid_minimize, mc_covar,
                       reduce_model, validate_model)
 from covarsel import oracle
-from covarsel.model import standard_normal_cdf
-from covarsel.oracle import _DRAW_BLOCK, _band_returns
+from covarsel.oracle import _DRAW_BLOCK, _pair_law, _window_pass
+from covarsel.riskmeasures import _stress_law
 from helpers import full_array_mc_covar, random_model
 
 
-def full_block_band(m, xi, y_star, eps, seed, samples):
-    """Reference: the band draw that conditions joint draws of all n assets.
-    Every sample gets all n coordinates and is multiplied by the Cholesky
-    factor; the band is applied to the finished returns."""
-    rng = np.random.Generator(np.random.Philox(seed))
-    low = np.linalg.cholesky(m.sigma)
-    kept = []
-    for start in range(0, samples, _DRAW_BLOCK):
-        z = rng.standard_normal((min(_DRAW_BLOCK, samples - start), m.n))
-        returns = m.mu + z @ low.T
-        kept.append(returns[np.abs(returns[:, 0] - y_star) < eps] @ xi)
-    return np.concatenate(kept)
-
-
 def outcome(estimator, m, x, cfg):
-    """The four fields of an estimate, or the type of the error it raised."""
+    """The two fields of an estimate, or the type of the error it raised."""
     try:
         est = estimator(m, x, cfg)
     except TooFewBandSamples:
         return TooFewBandSamples
-    return (est.estimate, est.std_error, est.band_estimate, est.band_kept)
+    return (est.estimate, est.std_error)
 
 
-def band_setup(seed, n):
-    """A random market, random long-only weights in internal order, the
-    stress level and the default band half-width."""
+def market_setup(seed, n):
+    """A random market and random long-only weights in internal order."""
     rng = np.random.default_rng(seed)
     m, _ = random_model(rng, n=n)
-    xi = m.to_internal(rng.dirichlet(np.ones(n)))
-    return m, xi, m.mu1 - m.risk.a * m.sigma1, 0.05 * m.sigma1
+    return m, m.to_internal(rng.dirichlet(np.ones(n)))
 
 
 class TestMcConfig:
     def test_minimum_sample_count(self):
         with pytest.raises(DomainError):
             McConfig(samples=100)
-
-    def test_band_epsilon_positive(self):
-        with pytest.raises(DomainError):
-            McConfig(band_epsilon=0.0)
-
-    @pytest.mark.parametrize("eps", [math.inf, -math.inf, math.nan, "0.1", True])
-    def test_band_epsilon_finite(self, eps):
-        with pytest.raises(DomainError):
-            McConfig(band_epsilon=eps)
 
     @pytest.mark.parametrize("field,value", [
         ("samples", 1e6), ("samples", True), ("samples", "100000"), ("samples", np.float64(1e5)),
@@ -76,7 +51,6 @@ class TestMcCovar:
         e2 = mc_covar(m, x, cfg)
         assert e1.estimate == e2.estimate
         assert e1.std_error == e2.std_error
-        assert e1.band_estimate == e2.band_estimate
 
     def test_uncorrelated_portfolio_reduces_to_plain_var(self):
         m = validate_model(MarketModel(mu=[1.0, 2.0, 0.5],
@@ -116,24 +90,6 @@ class TestMcCovar:
         ratio = se_big / se_small
         assert ratio == pytest.approx(1.0 / math.sqrt(2.0), rel=0.20)
 
-    def test_band_estimator_approaches_exact(self, example3):
-        m, _ = example3
-        x = np.array([0.4, 0.3, 0.3])
-        sigma_y = m.sigma1
-        wide = mc_covar(m, x, McConfig(samples=200_000, seed=3,
-                                       band_epsilon=0.5 * sigma_y))
-        narrow = mc_covar(m, x, McConfig(samples=2_000_000, seed=3,
-                                         band_epsilon=0.05 * sigma_y))
-        assert abs(narrow.band_estimate - narrow.estimate) < \
-            abs(wide.band_estimate - wide.estimate)
-
-    def test_too_narrow_band(self, example3):
-        m, _ = example3
-        with pytest.raises(TooFewBandSamples):
-            mc_covar(m, np.array([0.4, 0.3, 0.3]),
-                     McConfig(samples=10_000, seed=0, band_epsilon=1e-8))
-
-
     @pytest.mark.parametrize("x", [[0.0, 0.0, 0.0], [0.5, 0.5, 0.5]])
     def test_weights_off_the_budget(self, example2, x):
         """Weights that do not sum to 1 are refused as ``covar_portfolio``
@@ -154,31 +110,43 @@ class TestMcCovar:
         with pytest.raises(TooFewBandSamples):
             mc_covar(m8, np.array([0.2, 0.5, 0.3]), McConfig(samples=1_000_000))
 
+    @pytest.mark.parametrize("beta,tail_draws", [(0.00985, 99), (0.00995, 100)])
+    def test_one_hundred_tail_draws(self, example2, beta, tail_draws):
+        """10**4 samples read a beta-quantile with 100 draws at or below it,
+        and refuse one with 99."""
+        m, _ = example2
+        mb = validate_model(MarketModel(mu=m.to_original(m.mu),
+                                        sigma=m.sigma[np.ix_(m.inv_perm, m.inv_perm)],
+                                        conditioning_asset=1,
+                                        risk=RiskParams.from_levels(0.1, beta)))
+        assert math.ceil(mb.risk.beta_level * 10_000) == tail_draws
+        x, cfg = np.array([0.2, 0.5, 0.3]), McConfig(samples=10_000, seed=0)
+        if tail_draws < 100:
+            with pytest.raises(TooFewBandSamples, match=f"leaves {tail_draws} of"):
+                mc_covar(mb, x, cfg)
+        else:
+            assert math.isfinite(mc_covar(mb, x, cfg).estimate)
 
-class TestBandDraw:
-    """The band draws the conditioning asset's coordinate for every sample and
-    one more normal, for the portfolio's other n - 1 coordinates, for each
-    sample it keeps."""
 
-    @pytest.mark.parametrize("n", [3, 10, 50])
-    def test_kept_count_is_binomial(self, n):
-        m, xi, y_star, eps = band_setup(100 + n, n)
-        samples = 1_000_000
-        est = mc_covar(m, m.to_original(xi), McConfig(samples=samples, seed=n))
-        p = (standard_normal_cdf((y_star + eps - m.mu1) / m.sigma1)
-             - standard_normal_cdf((y_star - eps - m.mu1) / m.sigma1))
-        assert abs(est.band_kept - samples * p) <= 5.0 * math.sqrt(samples * p * (1.0 - p))
+class TestStreamedDraw:
+    """The estimate reads its law off the Cholesky pair and a window of one
+    stream of normals."""
 
-    @pytest.mark.parametrize("n", [2, 3, 10, 50])
-    def test_same_distribution_as_full_block_draw(self, n):
-        from scipy.stats import ks_2samp
-        m, xi, y_star, eps = band_setup(200 + n, n)
-        reference = full_block_band(m, xi, y_star, eps, 1, 1_000_000)
-        new = _band_returns(m, xi, float(xi @ m.mu), y_star, eps, np.random.Philox(2),
-                            1_000_000)
-        k1, k2 = reference.shape[0], new.shape[0]
-        critical = math.sqrt(-0.5 * math.log(1e-3 / 2.0)) * math.sqrt((k1 + k2) / (k1 * k2))
-        assert ks_2samp(reference, new).statistic < critical
+    def test_pair_law_matches_the_law_from_sigma(self):
+        """The pair law at z0 = -a and ``riskmeasures._stress_law`` agree
+        within 1e-13 sigma_X on random markets and long-only portfolios."""
+        rng = np.random.default_rng(38)
+        worst = 0.0
+        for _ in range(300):
+            n = int(rng.integers(2, 51))
+            m, _ = random_model(rng, n=n)
+            xi = rng.dirichlet(np.ones(n))
+            cond_mean, scale = _pair_law(m, xi)
+            _, sigma_x, _, law_mean, law_var = (
+                float(v[0]) for v in _stress_law(m, np.ones((1, 1)), xi[None, :]))
+            worst = max(worst, abs(cond_mean - law_mean) / sigma_x,
+                        abs(scale - math.sqrt(law_var)) / sigma_x)
+        assert worst <= 1e-13, worst
 
     def test_reproducible_across_partial_chunk(self, example3):
         m, _ = example3
@@ -187,11 +155,11 @@ class TestBandDraw:
         cfg = McConfig(samples=samples, seed=9)
         assert mc_covar(m, x, cfg) == mc_covar(m, x, cfg)
         # the stream is read block by block: dropping the partial last block
-        # leaves the draws of the whole blocks before it unchanged
-        xi, y_star, eps = m.to_internal(x), m.mu1 - m.risk.a * m.sigma1, 0.05 * m.sigma1
-        mu_x = float(xi @ m.mu)
-        full = _band_returns(m, xi, mu_x, y_star, eps, np.random.Philox(9), samples)
-        head = _band_returns(m, xi, mu_x, y_star, eps, np.random.Philox(9), 20 * _DRAW_BLOCK)
+        # leaves the window draws of the whole blocks before it unchanged
+        _, full = _window_pass(np.random.Generator(np.random.Philox(9)), samples, -1.0, 1.0)
+        _, head = _window_pass(np.random.Generator(np.random.Philox(9)), 20 * _DRAW_BLOCK,
+                               -1.0, 1.0)
+        assert head.shape[0] > 0
         assert np.array_equal(full[:head.shape[0]], head)
 
     def test_exact_stage_reads_the_base_stream(self):
@@ -202,54 +170,44 @@ class TestBandDraw:
         for n in (2, 3, 10, 50):
             for samples in sizes:
                 for seed in (n, 1000 + n):
-                    m, xi, _, _ = band_setup(seed, n)
+                    m, xi = market_setup(seed, n)
                     x, cfg = m.to_original(xi), McConfig(samples=samples, seed=seed)
                     assert outcome(mc_covar, m, x, cfg) == \
                         outcome(full_array_mc_covar, m, x, cfg), (n, samples, seed)
 
     def test_window_miss_repeats_the_pass(self, monkeypatch):
-        """With no window margin every first pass misses and the kept-return
-        buffer starts at its mean: the repeat passes and the buffer's growth
-        give the same bits, and the band stage sees the same stream."""
-        cases = [(band_setup(seed, n), samples) for seed, n, samples in
+        """With no window margin every first pass misses: the repeat passes
+        give the same bits."""
+        cases = [(market_setup(seed, n), samples) for seed, n, samples in
                  [(1, 3, 200_000), (2, 10, 123_457), (3, 50, 300_000), (4, 2, 50_000)]]
         before = [outcome(mc_covar, m, m.to_original(xi), McConfig(samples=s, seed=7))
-                  for (m, xi, _, _), s in cases]
+                  for (m, xi), s in cases]
         passes = []
         window_pass = oracle._window_pass
         monkeypatch.setattr(oracle, "_WINDOW_SDS", 0.0)
         monkeypatch.setattr(oracle, "_window_pass",
                             lambda *args: passes.append(1) or window_pass(*args))
-        grew = 0
-        for ((m, xi, y_star, eps), samples), ref in zip(cases, before):
+        for ((m, xi), samples), ref in zip(cases, before):
             cfg = McConfig(samples=samples, seed=7)
             passes.clear()
             assert outcome(mc_covar, m, m.to_original(xi), cfg) == ref
             assert ref == outcome(full_array_mc_covar, m, m.to_original(xi), cfg)
             assert len(passes) > 1
-            p = (standard_normal_cdf((y_star + eps - m.mu1) / m.sigma1)
-                 - standard_normal_cdf((y_star - eps - m.mu1) / m.sigma1))
-            grew += ref[3] > math.ceil(samples * p)
-        assert grew > 0
 
-    @pytest.mark.parametrize("samples,wide", [(200_000, False), (2_000_000, False),
-                                              (200_000, True)])
-    def test_memory_budget(self, samples, wide):
-        """One estimate on an n = 50 market holds at most 3 MB beyond the
-        band's kept returns, at 8 bytes each, whatever the sample count."""
+    @pytest.mark.parametrize("samples", [200_000, 2_000_000, 10_000_000])
+    def test_memory_budget(self, samples):
+        """One estimate on an n = 50 market holds at most 3 MB, whatever the
+        sample count."""
         import tracemalloc
-        m, xi, _, _ = band_setup(50, 50)
-        cfg = McConfig(samples=samples, seed=3, band_epsilon=10.0 * m.sigma1 if wide else None)
-        mc_covar(m, m.to_original(xi), McConfig(samples=10_000, seed=3, band_epsilon=m.sigma1))
+        m, xi = market_setup(50, 50)
+        mc_covar(m, m.to_original(xi), McConfig(samples=10_000, seed=3))
         tracemalloc.start()
         try:
-            est = mc_covar(m, m.to_original(xi), cfg)
+            mc_covar(m, m.to_original(xi), McConfig(samples=samples, seed=3))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        if wide:
-            assert est.band_kept == samples
-        assert peak <= 3_000_000 + (8 * est.band_kept if wide else 0), peak
+        assert peak <= 3_000_000, peak
 
 
 class TestGridMinimize:

@@ -9,8 +9,8 @@ the one-row solves call ``closedform._rows``.  The CLI reads
 every number it takes in through one function, ``cli._number``.  Only the
 reduction solves on the Cholesky factor: every closed form is built from its
 two solves.  The conditional law that checks the reduced form is read from
-mu and sigma alone, and the risk check and the Monte-Carlo oracle share it;
-the oracle's band draws on the Cholesky factor and never reads that law.
+mu and sigma alone; the Monte-Carlo oracle reads its law off the Cholesky
+factor and never calls that one.
 Every function the package exports has a caller in the package, its scripts
 or its bench, bar a short list kept for callers outside them.
 """
@@ -266,25 +266,26 @@ def test_one_conditional_law_from_sigma():
     law = _function(ast.parse((SRC / "riskmeasures.py").read_text()), "_stress_law")
     found = sorted(_foreign_reads(law, LAW_READS))
     assert not found, "read the conditional law from mu and sigma only: " + ", ".join(found)
-    for module, caller in (("riskmeasures.py", "_covar_rows"), ("oracle.py", "mc_covar")):
-        func = _function(ast.parse((SRC / module).read_text()), caller)
-        assert "_stress_law" in _called_names(func), f"{caller} must call _stress_law"
+    check = _function(ast.parse((SRC / "riskmeasures.py").read_text()), "_covar_rows")
+    assert "_stress_law" in _called_names(check), "_covar_rows must call _stress_law"
+    estimate = _function(ast.parse((SRC / "oracle.py").read_text()), "mc_covar")
+    assert "_stress_law" not in _called_names(estimate), "mc_covar must not call _stress_law"
 
 
-# What ``oracle._band_returns`` may read off its model.  The band conditions
-# joint draws made with the Cholesky factor, so it shares no formula with the
-# law from sigma that the exact stage samples.
-BAND_READS = {"chol", "mu", "mu1", "sigma1"}
+# What ``oracle._pair_law`` may read off its model.  The Monte-Carlo law
+# comes from the Cholesky factor, so it shares no formula with the law from
+# sigma that the risk check compares with.
+PAIR_READS = {"chol", "mu", "risk"}
 
 
-def _band_faults(func: ast.FunctionDef) -> set[str]:
+def _pair_faults(func: ast.FunctionDef) -> set[str]:
     """Every ``ReducedModel`` named in ``func``, every attribute it reads off
-    its first parameter other than ``BAND_READS``, a call of ``_stress_law``,
+    its first parameter other than ``PAIR_READS``, a call of ``_stress_law``,
     and "no <model>.chol" when it reads no Cholesky factor."""
     model = func.args.args[0].arg
     reads = {node.attr for node in ast.walk(func) if isinstance(node, ast.Attribute)
              and isinstance(node.value, ast.Name) and node.value.id == model}
-    found = {f"{model}.{attr}" for attr in reads - BAND_READS}
+    found = {f"{model}.{attr}" for attr in reads - PAIR_READS}
     found |= {"ReducedModel" for node in ast.walk(func)
               if isinstance(node, ast.Name) and node.id == "ReducedModel"}
     found |= {"_stress_law"} & _called_names(func)
@@ -293,21 +294,23 @@ def _band_faults(func: ast.FunctionDef) -> set[str]:
     return found
 
 
-def test_band_rule_flags_the_law_and_a_missing_factor():
-    band, kept = ast.parse("def band(m, xi, r: ReducedModel):\n"
-                           "    law = _stress_law(m, np.ones((1, 1)), xi[None, :])\n"
-                           "    return m.mu[0] + np.sqrt(m.sigma[0, 0]) * law[4] + r.q\n"
-                           "def kept(m, xi, base):\n"
-                           "    rng = np.random.Generator(base.jumped())\n"
-                           "    return m.mu1 + m.chol.T @ xi * rng.standard_normal()\n").body
-    assert _band_faults(band) == {"ReducedModel", "m.sigma", "_stress_law", "no m.chol"}
-    assert _band_faults(kept) == set()
+def test_pair_rule_flags_the_law_and_a_missing_factor():
+    law, pair = ast.parse("def law(m, xi, r: ReducedModel):\n"
+                          "    law = _stress_law(m, np.ones((1, 1)), xi[None, :])\n"
+                          "    return m.mu1 - m.risk.a * m.sigma1 * law[3] + r.q, law[4]\n"
+                          "def pair(m, xi):\n"
+                          "    load = m.chol.T @ xi\n"
+                          "    return xi @ m.mu - m.risk.a * load[0], np.sqrt(load[1:] @ load[1:])\n"
+                          ).body
+    assert _pair_faults(law) == {"ReducedModel", "m.mu1", "m.sigma1", "_stress_law",
+                                 "no m.chol"}
+    assert _pair_faults(pair) == set()
 
 
-def test_band_draws_on_the_factor_not_the_law():
-    band = _function(ast.parse((SRC / "oracle.py").read_text()), "_band_returns")
-    found = sorted(_band_faults(band))
-    assert not found, "draw the band from m.chol, not from the law it checks: " \
+def test_pair_law_reads_the_factor_not_the_law():
+    pair = _function(ast.parse((SRC / "oracle.py").read_text()), "_pair_law")
+    found = sorted(_pair_faults(pair))
+    assert not found, "read the Monte-Carlo law off m.chol, not from the law it checks: " \
         + ", ".join(found)
 
 
