@@ -330,11 +330,12 @@ def test_console_entry_point(scenario_dir):
                   "--mode", "sigma"]),
     ("example2", ["validate", "--weights", "nan,0.5,0.5"]),
     ("example2", ["validate", "--weights", "0.5,0.2,0.1"]),
+    ("example2", ["validate", "--samples", "9999"]),
 ])
 def test_bad_numbers_exit_two(scenario_dir, name, argv):
-    """Non-finite targets and weights, a negative seed and a descending
-    return range are input errors: exit 2 with one error line, never a
-    traceback."""
+    """Non-finite targets and weights, a negative seed, too few samples and a
+    descending return range are input errors: exit 2 with one error line,
+    never a traceback."""
     env = dict(os.environ)
     src = str(scenario_dir.parents[0] / "src")
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
@@ -347,6 +348,17 @@ def test_bad_numbers_exit_two(scenario_dir, name, argv):
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
     assert proc.stdout == ""
+
+
+def test_band_half_width_flag_is_gone(scenario_dir):
+    """``validate`` has no band half-width to set: the old ``--band-eps``
+    flag is an unknown argument, exit 2 before any draw."""
+    err = io.StringIO()
+    with redirect_stderr(err), pytest.raises(SystemExit) as exc:
+        main(["validate", "--scenario", scenario(scenario_dir, "example2"),
+              "--band-eps", "0.05"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --band-eps" in err.getvalue()
 
 
 def test_non_finite_scenario_target_exit_two(scenario_dir, tmp_path):

@@ -34,6 +34,16 @@ class TestMcConfig:
         with pytest.raises(DomainError):
             McConfig(samples=100)
 
+    @pytest.mark.parametrize("samples,ok", [(9_999, False), (10_000, True),
+                                            (10 ** 8, True), (10 ** 8 + 1, False)])
+    def test_sample_count_bounds(self, samples, ok):
+        """Both ends of [10**4, 10**8] are allowed, one past either is not."""
+        if ok:
+            assert McConfig(samples=samples).samples == samples
+        else:
+            with pytest.raises(DomainError, match="samples"):
+                McConfig(samples=samples)
+
     @pytest.mark.parametrize("field,value", [
         ("samples", 1e6), ("samples", True), ("samples", "100000"), ("samples", np.float64(1e5)),
         ("seed", 1.5), ("seed", 2.0), ("seed", False), ("seed", None)])
@@ -147,6 +157,19 @@ class TestStreamedDraw:
             worst = max(worst, abs(cond_mean - law_mean) / sigma_x,
                         abs(scale - math.sqrt(law_var)) / sigma_x)
         assert worst <= 1e-13, worst
+
+    @pytest.mark.parametrize("n", [2, 3, 10, 50])
+    def test_conditioning_asset_alone_is_certain(self, n):
+        """Holding only the conditioning asset leaves no spread on the pair:
+        the estimate is -y* exactly, with no draw and no error."""
+        m, _ = market_setup(300 + n, n)
+        xi = np.zeros(n)
+        xi[0] = 1.0
+        assert _pair_law(m, xi)[1] == 0.0
+        est = mc_covar(m, m.to_original(xi), McConfig(samples=10_000, seed=n))
+        assert est.estimate == pytest.approx(-(m.mu1 - m.risk.a * m.sigma1),
+                                             rel=1e-12, abs=1e-12 * m.sigma1)
+        assert est.std_error == 0.0
 
     def test_reproducible_across_partial_chunk(self, example3):
         m, _ = example3
