@@ -100,7 +100,7 @@ class ValidatedModel:
     ``perm`` maps internal slot i to the original asset index ``perm[i]``;
     ``to_internal`` / ``to_original`` translate weight vectors both ways.
     ``chol`` is the lower Cholesky factor of the permuted sigma, computed once
-    and shared by validation, the reduction and the Monte-Carlo oracle.
+    and shared by validation, the reduction and the conditional law.
     """
 
     mu: np.ndarray

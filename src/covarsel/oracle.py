@@ -1,17 +1,14 @@
 """Independent verification: Monte-Carlo estimation and brute-force grids.
 
-The Monte-Carlo estimator never touches the analytic risk formulas beyond the
-definition itself: it samples the portfolio return given the stress level of
-the conditioning asset and reads off an empirical quantile.  With ``L`` the
-lower Cholesky factor of sigma and ``l = L'x``, the pair (Y, X) is
-``(mu_Y + L00 z0, mu'x + l0 z0 + |l[1:]| z1)`` in law for two independent
-standard normals, and the stress event Y = y* is exactly z0 = -a.  So the
-draws are ``cond_mean + scale * z1`` with ``cond_mean = mu'x - a l0`` and
-``scale = |l[1:]|`` (``_pair_law``), monotone in z1, and the order
-statistics of the draws are the mapped order statistics of z1.  The normals
-are streamed in fixed blocks: the pass counts the draws below a window
-around the quantile and keeps the few inside it, and the estimate and its
-bootstrap standard error are read from the sorted window.
+The Monte-Carlo estimator samples the portfolio return given the stress level
+of the conditioning asset and reads off an empirical quantile.  Its law is
+the one the risk check holds the reduced form to, ``riskmeasures._pair_law``:
+read off the Cholesky pair, X given Y = y* is ``cond_mean + scale * z1`` for
+a standard normal z1.  The draws are monotone in z1, so their order
+statistics are the mapped order statistics of z1.  The normals are streamed
+in fixed blocks: the pass counts the draws below a window around the
+quantile and keeps the few inside it, and the estimate and its bootstrap
+standard error are read from the sorted window.
 
 Memory does not grow with the sample count beyond the window (at most
 ``_WINDOW_SDS * sqrt(samples)`` normals): every other buffer is a fixed block.
@@ -30,7 +27,7 @@ import numpy as np
 from .errors import DimensionTooLarge, DomainError, TooFewBandSamples
 from .model import ValidatedModel, normal_quantile
 from .reduction import ReducedModel
-from .riskmeasures import _budget_weights, _raw_rows
+from .riskmeasures import _budget_weights, _pair_law, _raw_rows
 
 BOOTSTRAP_REPS = 256
 MIN_TAIL_DRAWS = 100
@@ -153,14 +150,6 @@ def _normal_order_stats(base: np.random.Philox, n: int, rank: int,
         half = 2.0 * half + sd
 
 
-def _pair_law(m: ValidatedModel, xi: np.ndarray) -> tuple[float, float]:
-    """``(cond_mean, scale)`` of X = x'R given Y = y*, read off the Cholesky
-    pair: with ``l = L'x``, X given z0 = -a is ``mu'x - a l0 + |l[1:]| z1``."""
-    load = m.chol.T @ xi
-    return (float(xi @ m.mu) - m.risk.a * float(load[0]),
-            math.sqrt(float(load[1:] @ load[1:])))
-
-
 def mc_covar(m: ValidatedModel, x, cfg: McConfig) -> McEstimate:
     """Monte-Carlo estimate of the conditional value-at-risk of portfolio x.
 
@@ -178,8 +167,9 @@ def mc_covar(m: ValidatedModel, x, cfg: McConfig) -> McEstimate:
             f"beta = {beta_level:.3e} leaves {tail_draws} of {cfg.samples} draws at or "
             f"below the quantile (< {MIN_TAIL_DRAWS}); use more samples or a smaller b")
 
-    cond_mean, scale = _pair_law(m, xi)
-    if scale * scale <= 1e-24 * max(1.0, float(xi @ m.sigma @ xi)):
+    _, sigma_x, _, cond_mean, scale = (float(v[0])
+                                       for v in _pair_law(m, np.ones((1, 1)), xi[None, :]))
+    if scale * scale <= 1e-24 * max(1.0, sigma_x * sigma_x):
         return McEstimate(estimate=-cond_mean, std_error=0.0)
     rank = _quantile_rank(beta_level, cfg.samples)
     z_rank, z_boot = _normal_order_stats(np.random.Philox(cfg.seed), cfg.samples, rank,

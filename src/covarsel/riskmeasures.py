@@ -3,12 +3,13 @@
 Under joint normality the risk of x is ``-E[X | Y = y*] + b sd[X | Y = y*]``
 for X = x'R, Y the conditioning asset and ``y* = mu_Y - a sigma_Y``.  Two
 routes give it: the reduced form ``-x'mu + a x'q + b sqrt(x'Qx)``, and the
-conditional normal law of X given Y = y* read from ``mu`` and ``sigma`` alone
-(``_stress_law``; the Monte-Carlo oracle reads it off the Cholesky factor).
-``covar_portfolio`` raises if they disagree, so a wrong ``q`` or ``Q`` fails
-it.  Rows are taken as combinations ``coeffs @ basis`` of a few basis vectors,
-with every quadratic read off the basis' Gram matrices, so the closed-form
-frontier rechecks a whole grid, whose rows span three vectors, in O(n^2).
+conditional normal law of X given Y = y* read off the Cholesky factor L of
+sigma (``_pair_law``, which the Monte-Carlo oracle samples too).
+``covar_portfolio`` raises if they disagree, so a wrong ``q``, ``Q`` or ``L``
+fails it.  Rows are taken as combinations ``coeffs @ basis`` of a few basis
+vectors, with every quadratic read off the basis' Gram matrices, so the
+closed-form frontier rechecks a whole grid, whose rows span three vectors,
+in O(n^2).
 """
 
 from __future__ import annotations
@@ -22,9 +23,9 @@ from .model import WEIGHT_SUM_TOL, ValidatedModel
 from .reduction import ReducedModel
 
 ROUTE_RTOL = 1e-9
-# rho, a ratio of quadratics, is allowed 32 eps of rounding: 64 eps in 1 - rho^2,
-# which the root in sd[X | Y] = sigma_X sqrt(1 - rho^2) turns into up to
-# sqrt(64 eps) sigma_X where rho^2 is near 1.  The routes may differ b times that.
+# The routes take the root of x'Qx from two computations, Q = sigma - qq' and
+# |L[:, 1:]'x|, which differ by more than ROUTE_RTOL near e_Y and on badly
+# conditioned sigma.  They may differ by b sigma_X times this on top of it.
 COND_SD_SLACK = np.sqrt(64.0 * np.finfo(float).eps)
 # Below this the quadratic term is treated as exactly zero: the square root is
 # still well defined there even though its gradient is not, and the all-in-one
@@ -69,19 +70,20 @@ def _gram_rows(coeffs: np.ndarray, basis: np.ndarray, mat: np.ndarray) -> np.nda
     return np.einsum("ij,ij->i", coeffs @ (basis @ mat @ basis.T), coeffs)
 
 
-def _stress_law(m: ValidatedModel, coeffs: np.ndarray, basis: np.ndarray):
+def _pair_law(m: ValidatedModel, coeffs: np.ndarray, basis: np.ndarray):
     """Law of X = x'R given Y = y* for each row x of ``coeffs @ basis`` (internal
-    order) from ``mu`` and ``sigma`` alone: arrays ``(expected, sigma_X, rho,
-    cond_mean, cond_var)``, ``rho = x'sigma e_Y / (sigma_X sigma_Y)`` clamped."""
-    mu_y, sigma_y = m.mu1, m.sigma1
+    order).  With ``l = L'x``, (Y, X) is ``(mu_Y + L00 z0, mu'x + l0 z0 +
+    |l[1:]| z1)`` in law for independent standard normals, and Y = y* is
+    z0 = -a.  Arrays ``(expected, sigma_X, rho, cond_mean, scale)``: ``|l|``,
+    ``l0 / |l|``, ``mu'x - a l0`` and ``|l[1:]|``, read off the Gram matrix of
+    ``(basis @ L)[:, 1:]``."""
+    load = basis @ m.chol
+    tail = load[:, 1:]
     expected = coeffs @ (basis @ m.mu)
-    sigma_x = np.sqrt(np.maximum(0.0, _gram_rows(coeffs, basis, m.sigma)))
-    cov_xy = coeffs @ (basis @ m.sigma[:, 0])
-    rho = np.minimum(1.0, np.maximum(-1.0, cov_xy / (sigma_x * sigma_y)))
-    y_star = mu_y - m.risk.a * sigma_y
-    cond_mean = expected + rho * sigma_x / sigma_y * (y_star - mu_y)
-    cond_var = np.maximum(0.0, sigma_x * sigma_x * (1.0 - rho * rho))
-    return expected, sigma_x, rho, cond_mean, cond_var
+    load0 = coeffs @ load[:, 0]
+    scale = np.sqrt(np.maximum(0.0, np.einsum("ij,ij->i", coeffs @ (tail @ tail.T), coeffs)))
+    sigma_x = np.sqrt(load0 * load0 + scale * scale)
+    return expected, sigma_x, load0 / sigma_x, expected - m.risk.a * load0, scale
 
 
 def _covar_rows(m: ValidatedModel, r: ReducedModel, coeffs: np.ndarray, basis: np.ndarray):
@@ -96,10 +98,10 @@ def _covar_rows(m: ValidatedModel, r: ReducedModel, coeffs: np.ndarray, basis: n
     to fail on NaN, and an overflow fails the first one.
     """
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # checked below
-        expected, sigma, rho, cond_mean, cond_var = _stress_law(m, coeffs, basis)
+        expected, sigma, rho, cond_mean, scale = _pair_law(m, coeffs, basis)
         value = _reduced_form(m, expected, coeffs @ (basis @ r.q),
                               _gram_rows(coeffs, basis, r.Q))
-        other = -cond_mean + m.risk.b * np.sqrt(cond_var)
+        other = -cond_mean + m.risk.b * scale
     i = _first(np.isfinite(value) & np.isfinite(sigma))
     if i is not None:
         raise NumericalBreakdown(f"risk value {float(value[i])!r} or portfolio variance "
@@ -127,8 +129,8 @@ def _budget_weights(m: ValidatedModel, x) -> np.ndarray:
 def covar_portfolio(m: ValidatedModel, r: ReducedModel, x) -> PortfolioReport:
     """Full risk report for a budget-feasible portfolio, cross-checked.
 
-    The reduced-route value is returned; the conditional law from sigma is
-    evaluated as well and the two must match (see ``_covar_rows``).
+    The reduced-route value is returned; the conditional law off the Cholesky
+    factor is evaluated as well and the two must match (see ``_covar_rows``).
     """
     xi = _budget_weights(m, x)
     expected, sigma, rho, value = (float(v[0])

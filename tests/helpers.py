@@ -47,6 +47,29 @@ def random_model_delta(rng, sign, n=None, factor=1.4):
             return m2, r2
 
 
+def ill_conditioned_model(seed, index):
+    """Market ``index`` (0-based) of a seeded sweep of ill-conditioned markets,
+    drawn in this order per market: n in 3-8, k in 1-n, A (n x k) normal,
+    ``sigma = AA'/k + 10^U(-8, 0) I``, mu normal, a ~ U(0.3, 2.5), the
+    conditioning asset and u ~ U(1.2, 3); then ``b = a sqrt(detG / alpha_C) u``,
+    so Delta > 0."""
+    rng = np.random.default_rng(seed)
+    for _ in range(index + 1):
+        n = int(rng.integers(3, 9))
+        k = int(rng.integers(1, n + 1))
+        mat = rng.normal(size=(n, k))
+        sigma = mat @ mat.T / k + 10 ** rng.uniform(-8, 0) * np.eye(n)
+        mu = rng.normal(size=n)
+        a = float(rng.uniform(0.3, 2.5))
+        cond = int(rng.integers(1, n + 1))
+        u = float(rng.uniform(1.2, 3.0))
+    r = reduce_model(validate_model(MarketModel(mu=mu, sigma=sigma, conditioning_asset=cond,
+                                                risk=RiskParams(a=a, b=1.0))))
+    m = validate_model(MarketModel(mu=mu, sigma=sigma, conditioning_asset=cond,
+                                   risk=RiskParams(a=a, b=a * math.sqrt(r.detG / r.alpha_C) * u)))
+    return m, reduce_model(m)
+
+
 def near_dependent_model(rng, n, eps, c0=0.5, c1=0.2):
     """Market with ``q = c0 + c1 mu + eps * noise``, rescaled so that
     q_Y = sigma_Y; eps = 0 makes (1, mu, q) exactly dependent.
@@ -76,6 +99,23 @@ def near_dependent_model(rng, n, eps, c0=0.5, c1=0.2):
                                    risk=RiskParams(a=float(rng.uniform(0.3, 2.5)),
                                                    b=float(rng.uniform(0.3, 2.5)))))
     return m, reduce_model(m), q, big_q
+
+
+def _stress_law(m, coeffs, basis):
+    """Law of X = x'R given Y = y* for each row x of ``coeffs @ basis`` (internal
+    order) from ``mu`` and ``sigma`` alone: arrays ``(expected, sigma_X, rho,
+    cond_mean, cond_var)``, ``rho = x'sigma e_Y / (sigma_X sigma_Y)`` clamped.
+    The reference that ``riskmeasures._pair_law`` is held to."""
+    mu_y, sigma_y = m.mu1, m.sigma1
+    expected = coeffs @ (basis @ m.mu)
+    sigma_x = np.sqrt(np.maximum(0.0, np.einsum("ij,ij->i", coeffs @ (basis @ m.sigma @ basis.T),
+                                                coeffs)))
+    cov_xy = coeffs @ (basis @ m.sigma[:, 0])
+    rho = np.minimum(1.0, np.maximum(-1.0, cov_xy / (sigma_x * sigma_y)))
+    y_star = mu_y - m.risk.a * sigma_y
+    cond_mean = expected + rho * sigma_x / sigma_y * (y_star - mu_y)
+    cond_var = np.maximum(0.0, sigma_x * sigma_x * (1.0 - rho * rho))
+    return expected, sigma_x, rho, cond_mean, cond_var
 
 
 def covar_value_raw(m, r, x_internal):

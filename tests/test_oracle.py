@@ -8,9 +8,9 @@ from covarsel import (DimensionTooLarge, DomainError, MarketModel, McConfig, Ris
                       TooFewBandSamples, covar_portfolio, grid_minimize, mc_covar,
                       reduce_model, validate_model)
 from covarsel import oracle
-from covarsel.oracle import _DRAW_BLOCK, _pair_law, _window_pass
-from covarsel.riskmeasures import _stress_law
-from helpers import full_array_mc_covar, random_model
+from covarsel.oracle import _DRAW_BLOCK, _window_pass
+from covarsel.riskmeasures import _pair_law
+from helpers import _stress_law, full_array_mc_covar, random_model
 
 
 def outcome(estimator, m, x, cfg):
@@ -143,18 +143,20 @@ class TestStreamedDraw:
     stream of normals."""
 
     def test_pair_law_matches_the_law_from_sigma(self):
-        """The pair law at z0 = -a and ``riskmeasures._stress_law`` agree
-        within 1e-13 sigma_X on random markets and long-only portfolios."""
+        """The pair law at z0 = -a and ``helpers._stress_law``, read from sigma,
+        agree within 1e-13 sigma_X on random markets and long-only portfolios."""
         rng = np.random.default_rng(38)
         worst = 0.0
         for _ in range(300):
             n = int(rng.integers(2, 51))
             m, _ = random_model(rng, n=n)
             xi = rng.dirichlet(np.ones(n))
-            cond_mean, scale = _pair_law(m, xi)
+            _, pair_sigma, _, cond_mean, scale = (
+                float(v[0]) for v in _pair_law(m, np.ones((1, 1)), xi[None, :]))
             _, sigma_x, _, law_mean, law_var = (
                 float(v[0]) for v in _stress_law(m, np.ones((1, 1)), xi[None, :]))
-            worst = max(worst, abs(cond_mean - law_mean) / sigma_x,
+            worst = max(worst, abs(pair_sigma - sigma_x) / sigma_x,
+                        abs(cond_mean - law_mean) / sigma_x,
                         abs(scale - math.sqrt(law_var)) / sigma_x)
         assert worst <= 1e-13, worst
 
@@ -165,7 +167,7 @@ class TestStreamedDraw:
         m, _ = market_setup(300 + n, n)
         xi = np.zeros(n)
         xi[0] = 1.0
-        assert _pair_law(m, xi)[1] == 0.0
+        assert _pair_law(m, np.ones((1, 1)), xi[None, :])[4][0] == 0.0
         est = mc_covar(m, m.to_original(xi), McConfig(samples=10_000, seed=n))
         assert est.estimate == pytest.approx(-(m.mu1 - m.risk.a * m.sigma1),
                                              rel=1e-12, abs=1e-12 * m.sigma1)

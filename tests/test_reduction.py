@@ -7,8 +7,8 @@ import pytest
 from covarsel import (ConstrainedProblem, MarketModel, McConfig, NumericalBreakdown,
                       RiskParams, SolveStatus, ValidatedModel, frontier, linalg, mc_covar,
                       markowitz_frontier, minimize_constrained, reduce_model, solve_critical,
-                      validate_model)
-from helpers import random_model
+                      solvability_status, validate_model)
+from helpers import near_dependent_model, random_model
 
 
 def inverse_2x2(mat):
@@ -97,6 +97,23 @@ class TestIndependence:
         assert not r.independent
         sol = solve_critical(m, r, 2.0)
         assert sol.status is SolveStatus.MARKOWITZ_FALLBACK
+
+    def test_dependence_tolerance_splits_near_dependent_markets(self):
+        """A normalized Gramian determinant detG / (alpha_C gamma_C) in
+        (1e-9, 1e-7) is independent, and one in (1e-13, 1e-11) is not: the
+        dependence tolerance lies between them."""
+        rng = np.random.default_rng(43)
+        seen = {SolveStatus.UNIQUE: 0, SolveStatus.MARKOWITZ_FALLBACK: 0}
+        for eps in (1e-4, 1e-6):
+            for _ in range(60):
+                _, r, _, _ = near_dependent_model(rng, 4, eps)
+                ratio = r.detG / (r.alpha_C * r.gamma_C)
+                expected = SolveStatus.UNIQUE if 1e-9 < ratio < 1e-7 else \
+                    SolveStatus.MARKOWITZ_FALLBACK if 1e-13 < ratio < 1e-11 else None
+                if expected is not None:
+                    assert solvability_status(r) is expected, ratio
+                    seen[expected] += 1
+        assert min(seen.values()) >= 10, seen
 
     def test_two_assets_never_independent(self):
         m = validate_model(MarketModel(mu=[1.0, 2.0], sigma=[[1.0, 0.1], [0.1, 2.0]],

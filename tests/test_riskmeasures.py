@@ -9,9 +9,8 @@ from hypothesis import strategies as st
 
 from covarsel import (DomainError, McConfig, NumericalBreakdown, covar_portfolio, frontier,
                       markowitz_frontier, mc_covar, solve_critical)
-from covarsel.riskmeasures import (COND_SD_SLACK, ROUTE_RTOL, _covar_rows, _first,
-                                   _stress_law)
-from helpers import covar_at, random_model
+from covarsel.riskmeasures import COND_SD_SLACK, ROUTE_RTOL, _covar_rows, _first, _pair_law
+from helpers import covar_at, ill_conditioned_model, random_model
 
 
 # Closed forms of the three fixture markets, written out coordinate by
@@ -59,7 +58,7 @@ class TestBivariate:
         assert rep.rho == pytest.approx(1.0)
 
     def test_correlation_domain(self, example1):
-        # Doubling q makes x'q = 2 sigma at e1; rho, taken from sigma, stays 1,
+        # Doubling q makes x'q = 2 sigma at e1; rho, taken from the factor, stays 1,
         # so the reduced form's a x'q is off by a sigma1 = 0.8.
         m, r = example1
         with pytest.raises(NumericalBreakdown, match="routes disagree: 0.600"):
@@ -73,10 +72,16 @@ CORRUPTIONS = [(field, scale) for field in ("q", "Q")
                for scale in (1 - 1e-3, 1 + 1e-3, 1 - 1e-6, 1 + 1e-6)] + [("Q", 0.5)]
 
 
+# Each scales column 0 or columns 1 and up of the Cholesky factor, after the
+# reduction was taken from sigma.
+FACTOR_CORRUPTIONS = [(start, stop, scale) for start, stop in ((0, 1), (1, None))
+                      for scale in (1 - 1e-3, 1 - 1e-6, 1 + 1e-6)]
+
+
 class TestRoutesFromSigma:
-    """The reduced form is compared with the conditional law read from sigma
-    alone, so a reduction that disagrees with sigma fails wherever it is
-    evaluated."""
+    """The reduced form is compared with the conditional law read off the
+    Cholesky factor of sigma, so a reduction that disagrees with sigma, or a
+    factor that does, fails wherever it is evaluated."""
 
     @pytest.mark.parametrize("field, scale", CORRUPTIONS)
     @pytest.mark.parametrize("fixture", ["example1", "example2", "example3"])
@@ -96,20 +101,57 @@ class TestRoutesFromSigma:
         with pytest.raises(NumericalBreakdown):
             frontier(m, bad, 0.0, 5.0, 11)
 
+    @pytest.mark.parametrize("start, stop, scale", FACTOR_CORRUPTIONS)
+    @pytest.mark.parametrize("fixture", ["example1", "example2", "example3"])
+    def test_corrupted_factor_fails_evaluation(self, request, fixture, start, stop, scale):
+        """The second route reads the factor, so a factor that disagrees with
+        sigma, where q and Q come from, fails too."""
+        m, r = request.getfixturevalue(fixture)
+        bad = dataclasses.replace(m)
+        low = np.array(m.chol)
+        low[:, start:stop] *= scale
+        bad.__dict__["chol"] = low
+        with pytest.raises(NumericalBreakdown, match="routes disagree"):
+            covar_portfolio(bad, r, [0.2, 0.5, 0.3])
+
     def test_conditioning_asset_gap_under_half_its_allowance(self, example1, example2,
                                                              example3):
-        """At e_Y, rho is 1 up to rounding, and 1 - rho^2 is all rounding: the
-        case COND_SD_SLACK allows for."""
+        """At e_Y the pair law has no spread and l0 = L00 = q_Y: the routes
+        agree to rounding, within half the ROUTE_RTOL allowance alone."""
         rng = np.random.default_rng(31)
         pairs = [example1, example2, example3] + [random_model(rng) for _ in range(300)]
         for m, r in pairs:
             coeffs, basis = np.ones((1, 1)), np.eye(m.n)[:1]
-            _, sigma, _, cond_mean, cond_var = _stress_law(m, coeffs, basis)
+            _, _, _, cond_mean, scale = _pair_law(m, coeffs, basis)
             value = _covar_rows(m, r, coeffs, basis)[3]
-            gap = np.abs(-cond_mean + m.risk.b * np.sqrt(cond_var) - value)
-            allowance = ROUTE_RTOL * np.maximum(1.0, np.abs(value)) \
-                + COND_SD_SLACK * m.risk.b * sigma
-            assert gap[0] <= 0.5 * allowance[0]
+            gap = np.abs(-cond_mean + m.risk.b * scale - value)
+            assert gap[0] <= 0.5 * ROUTE_RTOL * max(1.0, abs(value[0]))
+
+    def test_ill_conditioned_routes_differ_past_the_relative_tolerance(self):
+        """Market 37 of the seed-700 ill-conditioned sweep (n = 8, rank-one
+        AA' plus a 1.6e-8 ridge, cond(sigma) 4.4e8, b about 1.9e5): at equal
+        weights the two roots of x'Qx differ by more than ROUTE_RTOL allows,
+        and the evaluation still answers, on the b sigma_X slack."""
+        m, r = ill_conditioned_model(700, 37)
+        xi = np.full(m.n, 1.0 / m.n)
+        value = covar_portfolio(m, r, m.to_original(xi)).covar
+        _, _, _, cond_mean, scale = (float(v[0]) for v in _pair_law(m, np.ones((1, 1)),
+                                                                      xi[None, :]))
+        assert abs(-cond_mean + m.risk.b * scale - value) > ROUTE_RTOL * max(1.0, abs(value))
+
+    def test_correlation_within_one_without_a_clamp(self):
+        """rho = l0 / |l| lies in [-1, 1] at e_Y + eps d (1'd = 0) down to
+        eps = 1e-12, and is exactly 1 at e_Y."""
+        rng = np.random.default_rng(41)
+        for _ in range(300):
+            m, r = random_model(rng)
+            e_y = np.eye(m.n)[0]
+            assert covar_portfolio(m, r, m.to_original(e_y)).rho == 1.0
+            d = rng.normal(size=m.n)
+            d -= d.mean()
+            for eps in 10.0 ** -np.arange(2, 13):
+                rho = covar_portfolio(m, r, m.to_original(e_y + eps * d)).rho
+                assert -1.0 <= rho <= 1.0, (eps, rho)
 
 
 class TestPortfolioValue:

@@ -8,9 +8,8 @@ frontier request forms no k x n weight array: only the record's reader and
 the one-row solves call ``closedform._rows``.  The CLI reads
 every number it takes in through one function, ``cli._number``.  Only the
 reduction solves on the Cholesky factor: every closed form is built from its
-two solves.  The conditional law that checks the reduced form is read from
-mu and sigma alone; the Monte-Carlo oracle reads its law off the Cholesky
-factor and never calls that one.
+two solves.  One conditional law, read off the Cholesky factor, checks the
+reduced form and feeds the Monte-Carlo oracle.
 Every function the package exports has a caller in the package, its scripts
 or its bench, bar a short list kept for callers outside them.
 """
@@ -230,10 +229,11 @@ def test_frontier_requests_form_no_weight_rows():
     assert "Frontier" in users
 
 
-# What ``riskmeasures._stress_law`` may read off its model: the law of X given
-# Y = y* comes from (mu, sigma) and the stress intensities, never from the
-# reduction it checks.
-LAW_READS = {"mu", "sigma", "mu1", "sigma1", "risk"}
+# What ``riskmeasures._pair_law`` may read off its model.  The conditional law
+# comes from the Cholesky factor, never from the reduction it checks.
+PAIR_READS = {"chol", "mu", "risk"}
+# Who must read the law: the risk check and the Monte-Carlo oracle.
+PAIR_CALLERS = {("riskmeasures.py", "_covar_rows"), ("oracle.py", "mc_covar")}
 
 
 def _function(tree: ast.Module, name: str) -> ast.FunctionDef:
@@ -241,77 +241,56 @@ def _function(tree: ast.Module, name: str) -> ast.FunctionDef:
                 if isinstance(node, ast.FunctionDef) and node.name == name)
 
 
-def _foreign_reads(func: ast.FunctionDef, allowed: set[str]) -> set[str]:
-    """Every ``ReducedModel`` named in ``func``, and every ``name.attr`` it
-    reads other than ``np.*`` and its first parameter's ``allowed`` ones."""
-    model = func.args.args[0].arg
-    found = {"ReducedModel" for node in ast.walk(func)
-             if isinstance(node, ast.Name) and node.id == "ReducedModel"}
-    for node in ast.walk(func):
-        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
-                and node.value.id != "np" \
-                and not (node.value.id == model and node.attr in allowed):
-            found.add(f"{node.value.id}.{node.attr}")
-    return found
-
-
-def test_law_rule_flags_the_reduction_and_other_reads():
-    func = ast.parse("def law(m: ValidatedModel, coeffs, r: ReducedModel):\n"
-                     "    y = m.mu1 - m.risk.a * np.sqrt(m.sigma[0, 0])\n"
-                     "    return coeffs @ m.mu + y + r.q + m.chol.sum()\n").body[0]
-    assert _foreign_reads(func, LAW_READS) == {"ReducedModel", "r.q", "m.chol"}
-
-
-def test_one_conditional_law_from_sigma():
-    law = _function(ast.parse((SRC / "riskmeasures.py").read_text()), "_stress_law")
-    found = sorted(_foreign_reads(law, LAW_READS))
-    assert not found, "read the conditional law from mu and sigma only: " + ", ".join(found)
-    check = _function(ast.parse((SRC / "riskmeasures.py").read_text()), "_covar_rows")
-    assert "_stress_law" in _called_names(check), "_covar_rows must call _stress_law"
-    estimate = _function(ast.parse((SRC / "oracle.py").read_text()), "mc_covar")
-    assert "_stress_law" not in _called_names(estimate), "mc_covar must not call _stress_law"
-
-
-# What ``oracle._pair_law`` may read off its model.  The Monte-Carlo law
-# comes from the Cholesky factor, so it shares no formula with the law from
-# sigma that the risk check compares with.
-PAIR_READS = {"chol", "mu", "risk"}
-
-
 def _pair_faults(func: ast.FunctionDef) -> set[str]:
     """Every ``ReducedModel`` named in ``func``, every attribute it reads off
-    its first parameter other than ``PAIR_READS``, a call of ``_stress_law``,
-    and "no <model>.chol" when it reads no Cholesky factor."""
+    its first parameter other than ``PAIR_READS``, and "no <model>.chol" when
+    it reads no Cholesky factor."""
     model = func.args.args[0].arg
     reads = {node.attr for node in ast.walk(func) if isinstance(node, ast.Attribute)
              and isinstance(node.value, ast.Name) and node.value.id == model}
     found = {f"{model}.{attr}" for attr in reads - PAIR_READS}
     found |= {"ReducedModel" for node in ast.walk(func)
               if isinstance(node, ast.Name) and node.id == "ReducedModel"}
-    found |= {"_stress_law"} & _called_names(func)
     if "chol" not in reads:
         found.add(f"no {model}.chol")
     return found
 
 
+def _law_definitions(tree: ast.Module) -> list[str]:
+    """Names of the functions defined anywhere in ``tree`` that are called
+    ``_stress_law`` or ``_pair_law``."""
+    return sorted(node.name for node in ast.walk(tree)
+                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  and node.name in ("_stress_law", "_pair_law"))
+
+
 def test_pair_rule_flags_the_law_and_a_missing_factor():
-    law, pair = ast.parse("def law(m, xi, r: ReducedModel):\n"
-                          "    law = _stress_law(m, np.ones((1, 1)), xi[None, :])\n"
-                          "    return m.mu1 - m.risk.a * m.sigma1 * law[3] + r.q, law[4]\n"
-                          "def pair(m, xi):\n"
-                          "    load = m.chol.T @ xi\n"
-                          "    return xi @ m.mu - m.risk.a * load[0], np.sqrt(load[1:] @ load[1:])\n"
-                          ).body
-    assert _pair_faults(law) == {"ReducedModel", "m.mu1", "m.sigma1", "_stress_law",
-                                 "no m.chol"}
+    tree = ast.parse("def law(m, coeffs, basis, r: ReducedModel):\n"
+                     "    y = m.mu1 - m.risk.a * m.sigma1\n"
+                     "    return coeffs @ (basis @ m.mu) + y + basis @ m.sigma[:, 0] + r.q\n"
+                     "def pair(m, coeffs, basis):\n"
+                     "    load = basis @ m.chol\n"
+                     "    def _pair_law(xi):\n"
+                     "        return xi\n"
+                     "    return coeffs @ (basis @ m.mu) - m.risk.a * coeffs @ load[:, 0]\n"
+                     "def _stress_law(m):\n"
+                     "    return m.mu\n")
+    law, pair, _ = tree.body
+    assert _pair_faults(law) == {"ReducedModel", "m.mu1", "m.sigma1", "m.sigma", "no m.chol"}
     assert _pair_faults(pair) == set()
+    assert _law_definitions(tree) == ["_pair_law", "_stress_law"]
 
 
 def test_pair_law_reads_the_factor_not_the_law():
-    pair = _function(ast.parse((SRC / "oracle.py").read_text()), "_pair_law")
-    found = sorted(_pair_faults(pair))
-    assert not found, "read the Monte-Carlo law off m.chol, not from the law it checks: " \
-        + ", ".join(found)
+    trees = {p.name: ast.parse(p.read_text()) for p in SRC.glob("*.py")}
+    found = sorted(_pair_faults(_function(trees["riskmeasures.py"], "_pair_law")))
+    assert not found, "read the conditional law off m.chol: " + ", ".join(found)
+    laws = sorted(f"{name}:{law}" for name, tree in trees.items()
+                  for law in _law_definitions(tree))
+    assert laws == ["riskmeasures.py:_pair_law"], "keep one conditional law: " + ", ".join(laws)
+    for name, caller in sorted(PAIR_CALLERS):
+        assert "_pair_law" in _called_names(_function(trees[name], caller)), \
+            f"{caller} must read the law from _pair_law"
 
 
 # Exported functions that need no caller in ``src/``, ``scripts/`` or
